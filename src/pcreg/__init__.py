@@ -12,7 +12,6 @@ from pathlib import Path
 from .diagnostics import (
     CovarianceSet,
     DiagnosticsReport,
-    bias_report,
     build_report,
     covariance_agreement,
     pcr_covariance,
@@ -80,7 +79,6 @@ __all__ = [
     "ValidationError",
     "adjudicate_rss_dof",
     "beta_additivity_check",
-    "bias_report",
     "build_report",
     "covariance_agreement",
     "fit_ols",

@@ -42,7 +42,7 @@ from .errors import (
     RankDeficiencyError,
     ValidationError,
 )
-from .linalg import gram_pseudo_inverse, svd_thin
+from .linalg import svd_thin
 from .model import (
     Dataset,
     beta_additivity_check,
@@ -95,19 +95,23 @@ def load_csv(path: str | Path, response: str, add_intercept: bool = True) -> Dat
     """Read a header-row CSV into a Dataset.
 
     Cells must parse as finite decimal numbers ('.' radix, ',' delimiter).
+    A UTF-8 byte-order mark before the header and blank lines at the end
+    of the file are ignored.
     The response column is excluded from the design; remaining columns
     keep file order, with an all-ones Intercept column prepended when
     ``add_intercept`` is set.
     """
     path = Path(path)
     try:
-        text = path.read_text(encoding="utf-8")
+        text = path.read_text(encoding="utf-8-sig")
     except FileNotFoundError:
         raise DataFormatError(f"{path}: file not found") from None
     except UnicodeDecodeError as exc:
         raise DataFormatError(f"{path}: not valid UTF-8: {exc}") from None
 
     rows = list(csv.reader(io.StringIO(text)))
+    while rows and not rows[-1]:
+        rows.pop()
     if not rows:
         raise DataFormatError(f"{path}: empty file (line 1: header row required)")
     header = [cell.strip() for cell in rows[0]]
@@ -249,11 +253,9 @@ def compare_payload(data: Dataset, d: int, record: TransformRecord) -> dict:
     f = svd_thin(data.x)
     ols = fit_ols(data, factors=f)
     pcr = fit_pcr(data, d, factors=f)
-    covs = pcr_covariance(f, ols, pcr)
     report = build_report(f, ols, pcr)
-
-    var_k = gram_pseudo_inverse(f, pcr.split.omitted) * pcr.sigma2_k
-    se_k = np.sqrt(np.diag(var_k))
+    covs = report.covs
+    se_k = np.sqrt(np.diag(covs.omitted))
     exceeds_k = se_k > report.se_ols
 
     forms = sigma2_d_three_forms(data, pcr, ols=ols, factors=f)
@@ -267,7 +269,7 @@ def compare_payload(data: Dataset, d: int, record: TransformRecord) -> dict:
         "bias_identity": abs(report.bias_sigma2_plugin - (pcr.sigma2_d - ols.sigma2)),
     }
     if 1 <= d < data.p and not covs.degenerate:
-        residuals["variance_recomposition"] = variance_recomposition_check(f, ols, pcr)
+        residuals["variance_recomposition"] = variance_recomposition_check(ols, pcr, covs)
     else:
         residuals["variance_recomposition"] = None
 
@@ -302,7 +304,7 @@ def compare_payload(data: Dataset, d: int, record: TransformRecord) -> dict:
             "pcr_direct": covs.direct.tolist(),
             "pcr_scaled": None if covs.scaled is None else covs.scaled.tolist(),
             "pcr_difference": None if covs.difference is None else covs.difference.tolist(),
-            "pcr_k": var_k.tolist(),
+            "pcr_k": covs.omitted.tolist(),
         },
         "diagnostics": {
             "inflation_ratio": report.inflation_ratio,
@@ -525,14 +527,13 @@ def load_simulation_config(path: str | Path, seed_override: int | None = None) -
         beta = np.asarray(raw["beta_true"], dtype=float)
     except (TypeError, ValueError) as exc:
         raise DataFormatError(f"{path}: field 'x'/'beta_true': {exc}") from None
-    seed = int(raw["seed"]) if seed_override is None else seed_override
     return SimulationConfig(
         x=x,
         beta_true=beta,
-        sigma2_true=float(raw["sigma2_true"]),
-        d=int(raw["d"]),
-        replicates=int(raw["replicates"]),
-        seed=seed,
+        sigma2_true=raw["sigma2_true"],
+        d=raw["d"],
+        replicates=raw["replicates"],
+        seed=raw["seed"] if seed_override is None else seed_override,
     )
 
 
@@ -590,24 +591,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _run_fit(args: argparse.Namespace) -> int:
+def _run_data(args: argparse.Namespace, payload_fn, render_fn) -> int:
+    """fit and compare: CSV -> standardize -> payload -> JSON or table."""
     data = load_csv(args.input, args.response, add_intercept=not args.no_intercept)
     data, record = standardize(data, args.standardize)
-    payload = fit_payload(data, args.d, record)
+    payload = payload_fn(data, args.d, record)
     payload["config"]["input"] = args.input
     payload["config"]["response"] = args.response
-    text = render_json(payload) if args.format == "json" else render_fit_table(payload)
-    _emit(text, args.out)
-    return EXIT_OK
-
-
-def _run_compare(args: argparse.Namespace) -> int:
-    data = load_csv(args.input, args.response, add_intercept=not args.no_intercept)
-    data, record = standardize(data, args.standardize)
-    payload = compare_payload(data, args.d, record)
-    payload["config"]["input"] = args.input
-    payload["config"]["response"] = args.response
-    text = render_json(payload) if args.format == "json" else render_compare_table(payload)
+    text = render_json(payload) if args.format == "json" else render_fn(payload)
     _emit(text, args.out)
     return EXIT_OK
 
@@ -623,9 +614,12 @@ def _run_simulate(args: argparse.Namespace) -> int:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    handlers = {"fit": _run_fit, "compare": _run_compare, "simulate": _run_simulate}
     try:
-        return handlers[args.command](args)
+        if args.command == "fit":
+            return _run_data(args, fit_payload, render_fit_table)
+        if args.command == "compare":
+            return _run_data(args, compare_payload, render_compare_table)
+        return _run_simulate(args)
     except (DataFormatError, ValidationError) as exc:
         print(f"pcreg: error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -23,18 +23,21 @@ RATIO_GUARD = 1e-300
 
 @dataclass(frozen=True)
 class CovarianceSet:
-    """The covariance of the retained-component slopes, three ways.
+    """Every slope covariance of one component-regression fit, computed once.
 
-    ``direct`` is the canonical pseudo-inverse form and is always present.
+    ``direct`` is the canonical pseudo-inverse form of the retained-slope
+    covariance and is always present, as is ``omitted``, the covariance of
+    the omitted-component slopes (the p x p zero matrix at d = p).
     ``scaled`` rescales the OLS covariance through the loading projector;
-    ``difference`` subtracts the omitted-component contribution.  The
-    latter two are verification artifacts and are dropped (None) on the
+    ``difference`` subtracts the omitted-component contribution.  These
+    two are verification artifacts and are dropped (None) on the
     degenerate paths: ``scaled`` requires a nonzero OLS residual variance,
     ``difference`` additionally requires d < p and a nonzero omitted-set
     variance.
     """
 
     direct: np.ndarray
+    omitted: np.ndarray
     scaled: np.ndarray | None
     difference: np.ndarray | None
     degenerate: bool = False
@@ -47,6 +50,7 @@ class DiagnosticsReport:
     ``exceeds_ols[j]`` is the strict comparison se_pcr[j] > se_ols[j] and
     mirrors the bolding convention of tabulated comparisons.  A degenerate
     report (zero OLS residual variance) carries ``inflation_ratio = nan``.
+    ``covs`` holds the covariances the report was built from.
     """
 
     inflation_ratio: float
@@ -56,6 +60,7 @@ class DiagnosticsReport:
     exceeds_ols: np.ndarray
     bias_beta: np.ndarray
     bias_sigma2_plugin: float
+    covs: CovarianceSet
     degenerate: bool = False
 
 
@@ -78,78 +83,62 @@ def covariance_agreement(covs: CovarianceSet) -> float:
 
 
 def pcr_covariance(f: SvdFactors, ols: OlsEstimate, pcr: PcrEstimate) -> CovarianceSet:
-    """Covariance of the retained-component slopes in all applicable forms.
+    """Slope covariances: the retained block in all applicable forms, and the omitted block.
 
     direct     = V_d Sigma_d^-2 V_d^T * sigma2_d
+    omitted    = V_k Sigma_k^-2 V_k^T * sigma2_k
     scaled     = cov_ols V_d V_d^T * (sigma2_d / sigma2)
-    difference = {cov_ols - (sigma2 / sigma2_k) var(beta_k)} * (sigma2_d / sigma2)
+    difference = {cov_ols - (sigma2 / sigma2_k) omitted} * (sigma2_d / sigma2)
 
     A zero OLS residual variance makes the ratios undefined, so only the
-    direct form is returned, flagged degenerate.  At d = p the difference
-    form is omitted (there is no omitted set) and direct = scaled = the
-    OLS covariance.
+    direct and omitted forms are returned, flagged degenerate.  At d = p
+    the difference form is omitted (there is no omitted set), the omitted
+    block is zero and direct = scaled = the OLS covariance.
     """
     split = pcr.split
     direct = gram_pseudo_inverse(f, split.retained) * pcr.sigma2_d
+    omitted = gram_pseudo_inverse(f, split.omitted) * pcr.sigma2_k
     if ols.sigma2 < RATIO_GUARD:
-        return CovarianceSet(direct=direct, scaled=None, difference=None, degenerate=True)
+        return CovarianceSet(direct, omitted, scaled=None, difference=None, degenerate=True)
     ratio = pcr.sigma2_d / ols.sigma2
     scaled = ols.cov @ loading_projector(f, split.retained) * ratio
     if split.k == 0:
-        return CovarianceSet(direct=direct, scaled=scaled, difference=None)
+        return CovarianceSet(direct, omitted, scaled=scaled, difference=None)
     if pcr.sigma2_k < RATIO_GUARD:
-        return CovarianceSet(direct=direct, scaled=scaled, difference=None, degenerate=True)
-    var_beta_k = gram_pseudo_inverse(f, split.omitted) * pcr.sigma2_k
-    difference = (ols.cov - (ols.sigma2 / pcr.sigma2_k) * var_beta_k) * ratio
-    return CovarianceSet(direct=direct, scaled=scaled, difference=difference)
+        return CovarianceSet(direct, omitted, scaled=scaled, difference=None, degenerate=True)
+    difference = (ols.cov - (ols.sigma2 / pcr.sigma2_k) * omitted) * ratio
+    return CovarianceSet(direct, omitted, scaled=scaled, difference=difference)
 
 
 def variance_recomposition_check(
-    f: SvdFactors, ols: OlsEstimate, pcr: PcrEstimate
+    ols: OlsEstimate, pcr: PcrEstimate, covs: CovarianceSet
 ) -> float:
     """Max absolute gap in rebuilding the OLS covariance from both blocks.
 
     Checks cov_ols = var(beta_d) sigma2/sigma2_d + var(beta_k) sigma2/sigma2_k
-    with both variances in their direct forms.  Requires 1 <= d < p and
-    nonzero residual variances.  Contract: <= 1e-8 * (1 + max diagonal).
+    with both variances in their direct forms, ``covs.direct`` and
+    ``covs.omitted``.  Requires 1 <= d < p and nonzero residual variances.
+    Contract: <= 1e-8 * (1 + max diagonal).
     """
-    split = pcr.split
-    if split.k == 0:
+    if pcr.split.k == 0:
         raise ValidationError("recomposition needs at least one omitted component (d < p)")
     if pcr.sigma2_d < RATIO_GUARD or pcr.sigma2_k < RATIO_GUARD:
         raise ValidationError("recomposition undefined for a zero residual variance")
-    direct_d = gram_pseudo_inverse(f, split.retained) * pcr.sigma2_d
-    direct_k = gram_pseudo_inverse(f, split.omitted) * pcr.sigma2_k
-    rebuilt = direct_d * (ols.sigma2 / pcr.sigma2_d) + direct_k * (ols.sigma2 / pcr.sigma2_k)
+    rebuilt = covs.direct * (ols.sigma2 / pcr.sigma2_d) + covs.omitted * (ols.sigma2 / pcr.sigma2_k)
     return float(np.max(np.abs(ols.cov - rebuilt)))
-
-
-def bias_report(
-    ols: OlsEstimate, pcr: PcrEstimate, x: np.ndarray
-) -> tuple[np.ndarray, float]:
-    """Plug-in bias estimates for the component regression.
-
-    Returns the omitted-space slopes (the slope-bias estimate) and the
-    plug-in evaluation of the residual-variance bias,
-
-        ((n - p)/(n - d) - 1) sigma2 + (beta - beta_d)^T X^T X (beta - beta_d) / (n - d),
-
-    which collapses to ``sigma2_d - sigma2`` exactly (1e-10 relative).
-    """
-    x = np.asarray(x, dtype=float)
-    n, p = x.shape
-    d = pcr.split.d
-    delta = ols.beta - pcr.beta_d
-    quad = float(delta @ (x.T @ x) @ delta)
-    plugin = ((n - p) / (n - d) - 1.0) * ols.sigma2 + quad / (n - d)
-    return pcr.beta_k.copy(), plugin
 
 
 def build_report(f: SvdFactors, ols: OlsEstimate, pcr: PcrEstimate) -> DiagnosticsReport:
     """Assemble the per-coefficient comparison report.
 
     Standard errors come from the covariance diagonals (direct form for
-    PCR); the exceedance flags use the strict inequality.
+    PCR); the exceedance flags use the strict inequality.  The plug-in
+    residual-variance bias,
+
+        ((n - p)/(n - d) - 1) sigma2 + (beta - beta_d)^T X^T X (beta - beta_d) / (n - d),
+
+    collapses to ``sigma2_d - sigma2`` exactly (1e-10 relative); the
+    omitted-space slopes are the slope-bias estimate.
     """
     covs = pcr_covariance(f, ols, pcr)
     se_ols = np.sqrt(np.diag(ols.cov))
@@ -170,5 +159,6 @@ def build_report(f: SvdFactors, ols: OlsEstimate, pcr: PcrEstimate) -> Diagnosti
         exceeds_ols=se_pcr > se_ols,
         bias_beta=pcr.beta_k.copy(),
         bias_sigma2_plugin=plugin,
+        covs=covs,
         degenerate=degenerate,
     )

@@ -36,6 +36,9 @@ JACOBI_MAX_SWEEPS = 60
 # rank_tol * max(sigma).
 DEFAULT_RANK_TOL_FACTOR = 1e-12
 
+# Smallest positive normal double: a Gram product below it has lost digits.
+_SMALLEST_NORMAL = float(np.finfo(float).tiny)
+
 SubsetLike = Union[str, Iterable[int]]
 
 
@@ -136,7 +139,11 @@ def svd_thin(x: np.ndarray, rank_tol: float | None = None) -> SvdFactors:
     SvdFactors
         Deterministic factors: the pair ordering, the stable descending
         sort, and the sign rule are all fixed, so repeated calls on the
-        same input are bit-identical.
+        same input are bit-identical.  The sweeps run on the matrix scaled
+        by the power of two that brings its largest entry into [0.5, 1), so
+        whatever the scale of the input no Gram entry overflows and those
+        of the leading columns do not underflow; the scaling is exact and
+        changes no rounding.
 
     Raises
     ------
@@ -155,7 +162,10 @@ def svd_thin(x: np.ndarray, rank_tol: float | None = None) -> SvdFactors:
     if not np.all(np.isfinite(a)):
         raise ValidationError("matrix contains non-finite entries")
 
-    w = a.copy()
+    shift = math.frexp(float(np.max(np.abs(a))))[1]
+    # C order keeps the column dot products' summation order independent
+    # of the caller's memory layout.
+    w = np.ldexp(np.ascontiguousarray(a), -shift)
     v = np.eye(p)
     worst = math.inf
     for _ in range(JACOBI_MAX_SWEEPS):
@@ -169,7 +179,11 @@ def svd_thin(x: np.ndarray, rank_tol: float | None = None) -> SvdFactors:
                 gamma = float(wi @ wj)
                 if alpha == 0.0 or beta == 0.0:
                     continue
-                rel = abs(gamma) / math.sqrt(alpha * beta)
+                ab = alpha * beta
+                if ab >= _SMALLEST_NORMAL:
+                    rel = abs(gamma) / math.sqrt(ab)
+                else:  # columns far below the peak: take the roots apart
+                    rel = abs(gamma) / (math.sqrt(alpha) * math.sqrt(beta))
                 if rel > worst:
                     worst = rel
                 if rel <= JACOBI_REL_TOL:
@@ -216,7 +230,7 @@ def svd_thin(x: np.ndarray, rank_tol: float | None = None) -> SvdFactors:
 
     if rank_tol is None:
         rank_tol = DEFAULT_RANK_TOL_FACTOR * max(n, p)
-    return SvdFactors(u=u, sigma=sigma, v=v, rank_tol=float(rank_tol))
+    return SvdFactors(u=u, sigma=np.ldexp(sigma, shift), v=v, rank_tol=float(rank_tol))
 
 
 def _orthonormal_fill(u: np.ndarray, col: int) -> np.ndarray:

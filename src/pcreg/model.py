@@ -46,11 +46,10 @@ class Dataset:
             )
         if not (np.all(np.isfinite(x)) and np.all(np.isfinite(y))):
             raise ValidationError("dataset contains non-finite values")
-        names = self.names
-        if names is None:
-            names = tuple(f"x{j + 1}" for j in range(p))
+        if self.names is None:
+            names = default_names(p)
         else:
-            names = tuple(str(c) for c in names)
+            names = tuple(str(c) for c in self.names)
             if len(names) != p:
                 raise ValidationError(f"expected {p} column names, got {len(names)}")
         if self.intercept_included:

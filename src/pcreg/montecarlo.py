@@ -19,6 +19,7 @@ parallel scheduling of the replicates themselves.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,6 +31,8 @@ from .model import Dataset, fit_pcr
 GENERATOR_NAME = "numpy-philox-jumped-per-replicate"
 
 MIN_REPLICATES = 100
+# Philox keys are 128-bit.
+SEED_LIMIT = 2**128
 # Covariance rows need enough replicates for a meaningful matrix estimate.
 COVARIANCE_MIN_REPLICATES = 1000
 
@@ -41,6 +44,8 @@ class SimulationConfig:
     The design is held fixed across replicates (inference conditional on
     X); errors are drawn iid normal with variance ``sigma2_true``, which
     is the assumption under which the stated sampling distributions hold.
+    ``d``, ``replicates`` and ``seed`` must be integers (a bool or a float
+    is rejected, not truncated) and ``sigma2_true`` a real number.
     """
 
     x: np.ndarray
@@ -51,6 +56,16 @@ class SimulationConfig:
     seed: int
 
     def __post_init__(self) -> None:
+        for name in ("d", "replicates", "seed"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise ValidationError(f"{name} must be an integer, got {value!r}")
+            object.__setattr__(self, name, int(value))
+        if isinstance(self.sigma2_true, bool) or not isinstance(self.sigma2_true, numbers.Real):
+            raise ValidationError(f"sigma2_true must be a number, got {self.sigma2_true!r}")
+        object.__setattr__(self, "sigma2_true", float(self.sigma2_true))
+        if not 0 <= self.seed < SEED_LIMIT:
+            raise ValidationError(f"seed must satisfy 0 <= seed < 2**128, got {self.seed}")
         x = np.array(self.x, dtype=float)
         beta = np.array(self.beta_true, dtype=float)
         if x.ndim != 2:
@@ -139,7 +154,6 @@ def run_simulation(cfg: SimulationConfig) -> SimulationResult:
     split = ComponentSplit(d=d, p=p)
     mu = cfg.x @ cfg.beta_true
     sd = math.sqrt(cfg.sigma2_true)
-    names = tuple(f"x{j + 1}" for j in range(p))
 
     reps = cfg.replicates
     sigma2_d_draws = np.empty(reps)
@@ -147,7 +161,7 @@ def run_simulation(cfg: SimulationConfig) -> SimulationResult:
     beta_d_draws = np.empty((reps, p))
     for r in range(reps):
         y = mu + sd * _replicate_rng(cfg.seed, r).standard_normal(n)
-        data = Dataset(y=y, x=cfg.x, names=names)
+        data = Dataset(y=y, x=cfg.x)
         try:
             pcr = fit_pcr(data, d, factors=f)
         except PcregError as exc:

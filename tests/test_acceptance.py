@@ -108,7 +108,7 @@ def test_criterion_1_exact_identity_suite():
                 if d < p:
                     assert covs.difference is not None
                     rtol = 1e-8 * (1 + np.max(np.diag(ols.cov)))
-                    assert variance_recomposition_check(f, ols, pcr) <= rtol
+                    assert variance_recomposition_check(ols, pcr, covs) <= rtol
     elapsed = time.perf_counter() - start
     assert instances >= 1000
     assert elapsed < 10.0, f"identity suite took {elapsed:.1f}s for {instances} instances"
@@ -144,7 +144,7 @@ def test_criterion_2_hand_oracle_case():
     np.testing.assert_allclose(var_k, np.diag([6.5, 0.0]), atol=1e-12)
     report = build_report(f, ols, pcr)
     assert abs(report.bias_sigma2_plugin - (-4.0)) <= 1e-12
-    assert variance_recomposition_check(f, ols, pcr) <= 1e-12
+    assert variance_recomposition_check(ols, pcr, covs) <= 1e-12
     print("\nACCEPTANCE 2 hand-oracle case: PASS (all values at 1e-12)")
 
 

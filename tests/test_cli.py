@@ -103,6 +103,25 @@ class TestLoadCsv:
         with pytest.raises(DataFormatError, match="line 3"):
             load_csv(path, "y")
 
+    def test_utf8_bom_before_header(self, tmp_path):
+        path = tmp_path / "bom.csv"
+        path.write_bytes(b"\xef\xbb\xbf" + TOY_CSV.encode("utf-8"))
+        data = load_csv(path, "y", add_intercept=False)
+        assert data.names == ("a", "b")
+        np.testing.assert_array_equal(data.y, [1.0, 2.0, 3.0])
+
+    def test_trailing_blank_lines_ignored(self, tmp_path):
+        path = tmp_path / "blank.csv"
+        path.write_text(TOY_CSV + "\n\r\n\n", encoding="utf-8")
+        data = load_csv(path, "y", add_intercept=False)
+        np.testing.assert_array_equal(data.x, [[1.0, 0.0], [0.0, 2.0], [0.0, 0.0]])
+
+    def test_inner_blank_line_still_rejected(self, tmp_path):
+        path = tmp_path / "inner.csv"
+        path.write_text("y,a\n1,2\n\n3,5\n4,1\n", encoding="utf-8")
+        with pytest.raises(DataFormatError, match="line 3"):
+            load_csv(path, "y")
+
     def test_too_few_rows_is_dof_error(self, tmp_path):
         path = tmp_path / "s.csv"
         path.write_text("y,a,b\n1,2,3\n4,5,6\n7,8,9\n", encoding="utf-8")
@@ -222,6 +241,37 @@ class TestMainExitCodes:
         code = main(["compare", "--input", str(path), "--response", "y", "--d", "1"])
         assert code == EXIT_DOF
 
+    def test_huge_entries_fit_matches_lstsq(self, tmp_path, capsys):
+        # Gram products of entries near 1e80 overflow unless the SVD rescales.
+        rng = np.random.default_rng(3)
+        x = rng.standard_normal((40, 3)) * 1e80
+        y = rng.standard_normal(40)
+        path = tmp_path / "huge.csv"
+        rows = ["y,a,b,c"] + [",".join(repr(float(v)) for v in (y[i], *x[i])) for i in range(40)]
+        path.write_text("\n".join(rows) + "\n", encoding="utf-8")
+        code = main(["fit", "--input", str(path), "--response", "y",
+                     "--no-intercept", "--format", "json"])
+        assert code == EXIT_OK
+        beta = json.loads(capsys.readouterr().out)["estimates"]["beta"]
+        data = load_csv(path, "y", add_intercept=False)
+        expected = np.linalg.lstsq(data.x, data.y, rcond=None)[0]
+        np.testing.assert_allclose(beta, expected, rtol=1e-10)
+
+    def test_tiny_columns_are_a_rank_error(self, tmp_path, capsys):
+        # Two columns near 1e-100 beside O(1) ones: their Gram product
+        # underflows to zero, which must end as a rank error, not a crash.
+        rng = np.random.default_rng(4)
+        x = rng.standard_normal((30, 4)) * np.array([1.0, 1e-100, 1e-100, 1.0])
+        y = rng.standard_normal(30)
+        path = tmp_path / "tiny.csv"
+        rows = ["y,a,b,c,d"] + [",".join(repr(float(v)) for v in (y[i], *x[i]))
+                                for i in range(30)]
+        path.write_text("\n".join(rows) + "\n", encoding="utf-8")
+        code = main(["fit", "--input", str(path), "--response", "y"])
+        assert code == EXIT_RANK
+        err = capsys.readouterr().err
+        assert err.startswith("pcreg: rank error:") and err.count("\n") == 1
+
     def test_fit_ols_json(self, toy_csv, capsys):
         code = main(["fit", "--input", str(toy_csv), "--response", "y",
                      "--no-intercept", "--format", "json"])
@@ -249,6 +299,32 @@ class TestSimulate:
         code = main(["simulate", "--config", str(path)])
         assert code == EXIT_USAGE
         assert "replicates" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("seed", "abc"),
+            ("seed", -1),
+            ("seed", 1.5),
+            ("seed", 2**128),
+            ("seed", True),
+            ("sigma2_true", [1]),
+            ("d", None),
+            ("d", 2.9),
+            ("replicates", 100.7),
+        ],
+    )
+    def test_bad_field_value_exit(self, tmp_path, capsys, field, value):
+        path = write_sim_config(tmp_path, **{field: value})
+        code = main(["simulate", "--config", str(path)])
+        assert code == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert field in err and err.count("\n") == 1
+
+    def test_negative_seed_override_exit(self, tmp_path, capsys):
+        path = write_sim_config(tmp_path)
+        assert main(["simulate", "--config", str(path), "--seed", "-1"]) == EXIT_USAGE
+        assert "seed" in capsys.readouterr().err
 
     def test_run_and_byte_identical_rerun(self, tmp_path):
         path = write_sim_config(tmp_path)

@@ -12,7 +12,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pcreg.diagnostics import (
-    bias_report,
     build_report,
     covariance_agreement,
     pcr_covariance,
@@ -50,6 +49,7 @@ class TestPcrCovariance:
         np.testing.assert_allclose(covs.direct, expected, atol=1e-12)
         np.testing.assert_allclose(covs.scaled, expected, atol=1e-12)
         np.testing.assert_allclose(covs.difference, expected, atol=1e-12)
+        np.testing.assert_allclose(covs.omitted, np.diag([6.5, 0.0]), atol=1e-12)
         assert not covs.degenerate
 
     def test_full_d_equals_ols_cov(self):
@@ -58,6 +58,7 @@ class TestPcrCovariance:
         np.testing.assert_allclose(covs.direct, ols.cov, atol=1e-10)
         np.testing.assert_allclose(covs.scaled, ols.cov, atol=1e-10)
         assert covs.difference is None
+        np.testing.assert_array_equal(covs.omitted, np.zeros((5, 5)))
 
     @settings(max_examples=40, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), d=st.integers(1, 5))
@@ -86,39 +87,38 @@ class TestPcrCovariance:
 class TestVarianceRecomposition:
     def test_toy_exact(self, toy_fits):
         f, ols, pcr = toy_fits
-        assert variance_recomposition_check(f, ols, pcr) <= 1e-12
+        assert variance_recomposition_check(ols, pcr, pcr_covariance(f, ols, pcr)) <= 1e-12
 
     def test_full_d_rejected(self):
         _, f, ols, pcr = random_fits(1, 25, 4, d=4)
         with pytest.raises(ValidationError):
-            variance_recomposition_check(f, ols, pcr)
+            variance_recomposition_check(ols, pcr, pcr_covariance(f, ols, pcr))
 
     @settings(max_examples=40, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), d=st.integers(1, 6))
     def test_random(self, seed, d):
         _, f, ols, pcr = random_fits(seed, 50, 7, d=d if d < 7 else 6)
-        gap = variance_recomposition_check(f, ols, pcr)
+        gap = variance_recomposition_check(ols, pcr, pcr_covariance(f, ols, pcr))
         assert gap <= 1e-8 * (1 + np.max(np.diag(ols.cov)))
 
 
 class TestBiasReport:
     def test_toy_plugin(self, toy_fits):
-        _, ols, pcr = toy_fits
-        bias_beta, plugin = bias_report(ols, pcr, TOY_X)
-        np.testing.assert_allclose(bias_beta, [1.0, 0.0], atol=1e-12)
-        assert abs(plugin - (-4.0)) <= 1e-12
+        report = build_report(*toy_fits)
+        np.testing.assert_allclose(report.bias_beta, [1.0, 0.0], atol=1e-12)
+        assert abs(report.bias_sigma2_plugin - (-4.0)) <= 1e-12
 
     def test_full_d_bias_vanishes(self):
-        data, _, ols, pcr = random_fits(2, 30, 5, d=5)
-        bias_beta, plugin = bias_report(ols, pcr, data.x)
-        np.testing.assert_allclose(bias_beta, np.zeros(5), atol=1e-12)
-        assert abs(plugin) <= 1e-10 * (1 + ols.sigma2)
+        _, f, ols, pcr = random_fits(2, 30, 5, d=5)
+        report = build_report(f, ols, pcr)
+        np.testing.assert_allclose(report.bias_beta, np.zeros(5), atol=1e-12)
+        assert abs(report.bias_sigma2_plugin) <= 1e-10 * (1 + ols.sigma2)
 
     @settings(max_examples=40, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), d=st.integers(1, 5))
     def test_plugin_identity_random(self, seed, d):
-        data, _, ols, pcr = random_fits(seed, 40, 5, d=d)
-        _, plugin = bias_report(ols, pcr, data.x)
+        _, f, ols, pcr = random_fits(seed, 40, 5, d=d)
+        plugin = build_report(f, ols, pcr).bias_sigma2_plugin
         target = pcr.sigma2_d - ols.sigma2
         assert abs(plugin - target) <= 1e-10 * (1 + abs(target))
 
@@ -133,6 +133,7 @@ class TestBuildReport:
         assert abs(report.inflation_ratio - 5.0 / 9.0) <= 1e-12
         np.testing.assert_allclose(report.loading_diag, [0.0, 1.0], atol=1e-12)
         assert abs(report.bias_sigma2_plugin - (-4.0)) <= 1e-12
+        np.testing.assert_array_equal(report.covs.direct, pcr_covariance(f, ols, pcr).direct)
 
     def test_full_d_all_flags_false(self):
         _, f, ols, pcr = random_fits(3, 30, 5, d=5)

@@ -108,6 +108,24 @@ class TestFitOls:
         np.testing.assert_allclose(ols.cov, ols.cov.T, atol=1e-12)
         assert np.min(np.linalg.eigvalsh(ols.cov)) >= -1e-10
 
+    @pytest.mark.parametrize("exponent", range(-300, 301, 50))
+    def test_scale_invariance_across_double_range(self, exponent):
+        # c X has singular values c sigma, slopes beta / c and the same
+        # residual variance wherever c puts the design in the double range.
+        rng = np.random.default_rng(12)
+        x = rng.standard_normal((30, 4)) * np.logspace(0.0, -3.0, 4)
+        data = Dataset(y=x @ rng.standard_normal(4) + rng.standard_normal(30), x=x)
+        c = 10.0**exponent
+        scaled = Dataset(y=data.y, x=data.x * c)
+        f0, f = svd_thin(data.x), svd_thin(scaled.x)
+        np.testing.assert_allclose(f.sigma, f0.sigma * c, rtol=1e-14)
+        # The covariance (X^T X)^-1 sigma2 scales as c^-2 and leaves the
+        # double range at the ends; only the slopes and sigma2 are compared.
+        with np.errstate(all="ignore"):
+            ols0, ols = fit_ols(data, factors=f0), fit_ols(scaled, factors=f)
+        np.testing.assert_allclose(ols.beta * c, ols0.beta, rtol=1e-12)
+        assert abs(ols.sigma2 - ols0.sigma2) <= 1e-12 * ols0.sigma2
+
 
 class TestFitPcr:
     def test_hand_oracle(self, toy):
