@@ -615,13 +615,20 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        if args.command == "fit":
-            return _run_data(args, fit_payload, render_fit_table)
-        if args.command == "compare":
-            return _run_data(args, compare_payload, render_compare_table)
-        return _run_simulate(args)
+        # Arithmetic that leaves the double range ends as one error line,
+        # not as numpy warnings next to an output full of infinities.
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            if args.command == "fit":
+                return _run_data(args, fit_payload, render_fit_table)
+            if args.command == "compare":
+                return _run_data(args, compare_payload, render_compare_table)
+            return _run_simulate(args)
     except (DataFormatError, ValidationError) as exc:
         print(f"pcreg: error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    except FloatingPointError as exc:
+        print(f"pcreg: error: the data exceed the double-precision range ({exc})",
+              file=sys.stderr)
         return EXIT_USAGE
     except RankDeficiencyError as exc:
         print(f"pcreg: rank error: {exc}", file=sys.stderr)

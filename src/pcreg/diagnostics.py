@@ -153,7 +153,7 @@ def build_report(f: SvdFactors, ols: OlsEstimate, pcr: PcrEstimate) -> Diagnosti
     plugin = ((n - p) / (n - d) - 1.0) * ols.sigma2 + quad / (n - d)
     return DiagnosticsReport(
         inflation_ratio=inflation,
-        loading_diag=np.diag(loading_projector(f, pcr.split.retained)).copy(),
+        loading_diag=np.sum(f.v[:, :d] ** 2, axis=1),
         se_ols=se_ols,
         se_pcr=se_pcr,
         exceeds_ols=se_pcr > se_ols,

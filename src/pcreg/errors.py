@@ -25,4 +25,4 @@ class DegreesOfFreedomError(PcregError):
 
 
 class ConvergenceError(PcregError):
-    """An iterative routine exhausted its sweep budget before converging."""
+    """LAPACK did not converge while factoring the design."""

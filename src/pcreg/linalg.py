@@ -1,11 +1,12 @@
 """Dense linear algebra for component regressions.
 
-Thin SVD via one-sided Jacobi rotations, plus the component-subset
-operators (hat matrices, Gram pseudo-inverses, loading projectors) that
-the estimator and diagnostics layers consume.  Everything here is a pure
-function of its inputs: identical input yields bit-identical output,
-values are never mutated after construction, and no global state exists,
-so all operations are safe to share across threads.
+Thin SVD through LAPACK (numpy's ``gesdd``) with a fixed sign rule, plus
+the component-subset operators (hat matrices, Gram pseudo-inverses,
+loading projectors) that the estimator and diagnostics layers consume.
+Everything here is a pure function of its inputs: identical input yields
+bit-identical output, values are never mutated after construction, and
+no global state exists, so all operations are safe to share across
+threads.
 
 Component subsets are given either as the string ``"all"`` or as an
 iterable of 0-based component indices.  ``ComponentSplit`` provides the
@@ -15,7 +16,6 @@ components and the ``k = p - d`` trailing ones.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Iterable, Union
 
@@ -23,21 +23,9 @@ import numpy as np
 
 from .errors import ConvergenceError, RankDeficiencyError, ValidationError
 
-# One-sided Jacobi stops once a full sweep leaves every column pair with a
-# relative inner product below the tolerance; it gives up after the cap.
-# The tolerance sits close to the dot-product noise floor because the
-# orthogonality defect of U leaks into downstream variance identities
-# scaled by y^T y / RSS; 1e-14 keeps those identities at 1e-10 at desk
-# scale while costing about one extra sweep over a looser setting.
-JACOBI_REL_TOL = 1e-14
-JACOBI_MAX_SWEEPS = 60
-
 # Default relative rank tolerance; the effective cutoff is
 # rank_tol * max(sigma).
 DEFAULT_RANK_TOL_FACTOR = 1e-12
-
-# Smallest positive normal double: a Gram product below it has lost digits.
-_SMALLEST_NORMAL = float(np.finfo(float).tiny)
 
 SubsetLike = Union[str, Iterable[int]]
 
@@ -124,7 +112,7 @@ def _subset_indices(p: int, subset: SubsetLike) -> np.ndarray:
 
 
 def svd_thin(x: np.ndarray, rank_tol: float | None = None) -> SvdFactors:
-    """Thin SVD of a tall dense matrix by cyclic one-sided Jacobi rotations.
+    """Thin SVD of a tall dense matrix by LAPACK's divide-and-conquer ``gesdd``.
 
     Parameters
     ----------
@@ -137,21 +125,19 @@ def svd_thin(x: np.ndarray, rank_tol: float | None = None) -> SvdFactors:
     Returns
     -------
     SvdFactors
-        Deterministic factors: the pair ordering, the stable descending
-        sort, and the sign rule are all fixed, so repeated calls on the
-        same input are bit-identical.  The sweeps run on the matrix scaled
-        by the power of two that brings its largest entry into [0.5, 1), so
-        whatever the scale of the input no Gram entry overflows and those
-        of the leading columns do not underflow; the scaling is exact and
-        changes no rounding.
+        Singular values in descending order, ``u`` with orthonormal
+        columns even where a singular value is zero, and the sign rule
+        applied, so repeated calls on the same input are bit-identical.
+        LAPACK scales the matrix internally, so the result holds at any
+        scale whose largest singular value is a finite double.
 
     Raises
     ------
     ValidationError
-        Non-finite entries or n < p.
+        Non-finite entries, n < p, or a largest singular value that
+        overflows the double range.
     ConvergenceError
-        The sweep cap was hit before the off-diagonal tolerance; the
-        message reports the residual relative off-diagonal norm.
+        LAPACK did not converge.
     """
     a = np.asarray(x, dtype=float)
     if a.ndim != 2:
@@ -162,95 +148,23 @@ def svd_thin(x: np.ndarray, rank_tol: float | None = None) -> SvdFactors:
     if not np.all(np.isfinite(a)):
         raise ValidationError("matrix contains non-finite entries")
 
-    shift = math.frexp(float(np.max(np.abs(a))))[1]
-    # C order keeps the column dot products' summation order independent
-    # of the caller's memory layout.
-    w = np.ldexp(np.ascontiguousarray(a), -shift)
-    v = np.eye(p)
-    worst = math.inf
-    for _ in range(JACOBI_MAX_SWEEPS):
-        worst = 0.0
-        for i in range(p - 1):
-            for j in range(i + 1, p):
-                wi = w[:, i]
-                wj = w[:, j]
-                alpha = float(wi @ wi)
-                beta = float(wj @ wj)
-                gamma = float(wi @ wj)
-                if alpha == 0.0 or beta == 0.0:
-                    continue
-                ab = alpha * beta
-                if ab >= _SMALLEST_NORMAL:
-                    rel = abs(gamma) / math.sqrt(ab)
-                else:  # columns far below the peak: take the roots apart
-                    rel = abs(gamma) / (math.sqrt(alpha) * math.sqrt(beta))
-                if rel > worst:
-                    worst = rel
-                if rel <= JACOBI_REL_TOL:
-                    continue
-                # Rotation angle zeroing the (i, j) Gram entry; the smaller
-                # root keeps |theta| <= 45 degrees.
-                tau = (beta - alpha) / (2.0 * gamma)
-                t = math.copysign(1.0, tau) / (abs(tau) + math.hypot(1.0, tau))
-                c = 1.0 / math.sqrt(1.0 + t * t)
-                s = c * t
-                new_i = c * wi - s * wj
-                w[:, j] = s * wi + c * wj
-                w[:, i] = new_i
-                vi = v[:, i].copy()
-                v[:, i] = c * vi - s * v[:, j]
-                v[:, j] = s * vi + c * v[:, j]
-        if worst <= JACOBI_REL_TOL:
-            break
-    else:
-        raise ConvergenceError(
-            f"one-sided Jacobi did not converge within {JACOBI_MAX_SWEEPS} sweeps; "
-            f"max relative off-diagonal entry is {worst:.3e}"
+    try:
+        u, sigma, vt = np.linalg.svd(a, full_matrices=False)
+    except np.linalg.LinAlgError as exc:
+        raise ConvergenceError(f"LAPACK gesdd failed on a {n} x {p} matrix: {exc}") from None
+    if not np.isfinite(sigma[0]):
+        raise ValidationError(
+            f"design too large: its largest singular value exceeds the double range "
+            f"(max |entry| {float(np.max(np.abs(a))):.3e})"
         )
-
-    norms = np.sqrt(np.sum(w * w, axis=0))
-    order = np.argsort(-norms, kind="stable")  # descending, ties keep pair order
-    sigma = norms[order]
-    w = w[:, order]
-    v = v[:, order]
-
-    u = np.zeros_like(w)
-    nonzero = sigma > 0.0
-    u[:, nonzero] = w[:, nonzero] / sigma[nonzero]
-    for j in np.flatnonzero(~nonzero):
-        u[:, j] = _orthonormal_fill(u, int(j))
 
     # Sign rule: the largest-magnitude entry of each V column is positive.
     # np.argmax resolves magnitude ties to the lowest row index.
-    for j in range(p):
-        imax = int(np.argmax(np.abs(v[:, j])))
-        if v[imax, j] < 0.0:
-            v[:, j] = -v[:, j]
-            u[:, j] = -u[:, j]
-
+    v = vt.T
+    signs = np.where(v[np.argmax(np.abs(v), axis=0), np.arange(p)] < 0.0, -1.0, 1.0)
     if rank_tol is None:
         rank_tol = DEFAULT_RANK_TOL_FACTOR * max(n, p)
-    return SvdFactors(u=u, sigma=np.ldexp(sigma, shift), v=v, rank_tol=float(rank_tol))
-
-
-def _orthonormal_fill(u: np.ndarray, col: int) -> np.ndarray:
-    """Deterministic unit vector orthogonal to every already-set column of u.
-
-    Columns at indices != col with nonzero content count as set.  The
-    canonical basis vector with the largest residual against their span is
-    orthogonalized twice and normalized, so exact zero singular values
-    still leave U with orthonormal columns.
-    """
-    set_cols = [j for j in range(u.shape[1]) if j != col and np.any(u[:, j])]
-    basis = u[:, set_cols]
-    # Residual norm of e_i against span(basis) is 1 - ||row i of basis||^2.
-    scores = 1.0 - np.sum(basis * basis, axis=1)
-    i = int(np.argmax(scores))
-    r = -basis @ basis[i, :]
-    r[i] += 1.0
-    r -= basis @ (basis.T @ r)
-    nr = float(np.linalg.norm(r))
-    return r / nr
+    return SvdFactors(u=u * signs, sigma=sigma, v=v * signs, rank_tol=float(rank_tol))
 
 
 def hat_matrix(f: SvdFactors, subset: SubsetLike) -> np.ndarray:

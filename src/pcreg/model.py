@@ -125,13 +125,15 @@ def fit_ols(data: Dataset, factors: SvdFactors | None = None) -> OlsEstimate:
 
     ``beta = V Sigma^-1 U^T y``, residual variance ``rss / (n - p)``, and
     covariance ``(X^T X)^-1 sigma2`` via the Gram pseudo-inverse.  Requires
-    full column rank; pass precomputed ``factors`` to skip the SVD.
+    full column rank; pass precomputed ``factors`` to skip the SVD.  The
+    residual is ``y - U U^T y``, the projection ``fit_pcr`` uses, so at
+    d = p the two fits agree bit for bit.
     """
     f = _checked_factors(data, factors)
     n, p = data.x.shape
     scores = f.u.T @ data.y
     beta = f.v @ (scores / f.sigma)
-    resid = data.y - data.x @ beta
+    resid = data.y - f.u @ scores
     rss = float(resid @ resid)
     dof = n - p
     sigma2 = rss / dof

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -141,13 +141,16 @@ def _replicate_rng(seed: int, index: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=seed).jumped(index))
 
 
+@np.errstate(all="ignore")
 def run_simulation(cfg: SimulationConfig) -> SimulationResult:
     """Run the configured replicates and aggregate.
 
     Per replicate r the error vector is drawn from the (seed, r) stream,
     the component regression is fitted, and the retained-slope vector and
     residual variance are recorded.  Fit errors propagate annotated with
-    the replicate index.
+    the replicate index.  Floating-point warnings are silenced; a
+    non-finite aggregate (a ``sigma2_true`` or design so large that the
+    sums of squares overflow) raises ValidationError instead.
     """
     f = svd_thin(cfg.x)
     n, p, d = cfg.n, cfg.p, cfg.d
@@ -179,7 +182,7 @@ def run_simulation(cfg: SimulationConfig) -> SimulationResult:
     predicted_cov = gram_pseudo_inverse(f, split.retained) * sigma2_d_pop
 
     root = math.sqrt(reps)
-    return SimulationResult(
+    res = SimulationResult(
         config=cfg,
         mean_sigma2_d=float(np.mean(sigma2_d_draws)),
         mean_rss_d=float(np.mean(rss_d_draws)),
@@ -196,6 +199,14 @@ def run_simulation(cfg: SimulationConfig) -> SimulationResult:
         mcse_rss_d=float(np.std(rss_d_draws, ddof=1)) / root,
         mcse_beta_d=np.std(beta_d_draws, axis=0, ddof=1) / root,
     )
+    for field in fields(res):
+        value = getattr(res, field.name)
+        if field.name not in ("config", "generator") and not np.all(np.isfinite(value)):
+            raise ValidationError(
+                f"simulation aggregate {field.name} is not finite: sigma2_true "
+                f"{cfg.sigma2_true:.3e} or the design is too large for double precision"
+            )
+    return res
 
 
 def _z(observed: float, predicted: float, mcse: float) -> float:

@@ -1,9 +1,14 @@
 """Tests for CSV ingestion, standardization, and the command surface."""
 
+import contextlib
+import io
 import json
+import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pcreg import fixture_path
 from pcreg.cli import (
@@ -209,6 +214,14 @@ class TestComparePayload:
         assert payload["estimates"]["pcr_k"] == [0.0, 0.0]
         assert payload["covariances"]["pcr_difference"] is None
         assert payload["diagnostics"]["exceeds_ols_d"] == [False, False]
+        # On the near-collinear fixture too, d = p reproduces OLS exactly,
+        # so no coefficient is flagged by a rounding difference.
+        for mode in ("none", "center", "zscore"):
+            data, record = standardize(load_csv(fixture_path(), "cost"), mode)
+            payload = compare_payload(data, data.p, record)
+            assert payload["estimates"]["pcr_d"] == payload["estimates"]["ols"]
+            assert payload["standard_errors"]["pcr_d"] == payload["standard_errors"]["ols"]
+            assert not any(payload["diagnostics"]["exceeds_ols_d"]), mode
 
 
 class TestMainExitCodes:
@@ -271,6 +284,23 @@ class TestMainExitCodes:
         assert code == EXIT_RANK
         err = capsys.readouterr().err
         assert err.startswith("pcreg: rank error:") and err.count("\n") == 1
+        # A column near 1e308 beside the intercept: the error must report
+        # the intercept-like component's true singular value, about 1.9,
+        # not a value flushed to zero by scaling the design.
+        path.write_text("y,a\n1,1e308\n2,-1e308\n3,1e308\n4,0\n", encoding="utf-8")
+        code = main(["compare", "--input", str(path), "--response", "y", "--d", "1"])
+        assert code == EXIT_RANK
+        err = capsys.readouterr().err
+        assert re.search(r"1: 1\.9\d\de\+00$", err.strip()) and err.count("\n") == 1
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_overflowing_singular_value_exit(self, tmp_path, capsys):
+        path = tmp_path / "overflow.csv"
+        path.write_text("y,a\n1,1e308\n2,-1e308\n3,1e308\n4,1e308\n5,0\n", encoding="utf-8")
+        code = main(["fit", "--input", str(path), "--response", "y"])
+        assert code == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith("pcreg: error: design too large") and err.count("\n") == 1
 
     def test_fit_ols_json(self, toy_csv, capsys):
         code = main(["fit", "--input", str(toy_csv), "--response", "y",
@@ -321,6 +351,15 @@ class TestSimulate:
         err = capsys.readouterr().err
         assert field in err and err.count("\n") == 1
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_overflowing_sigma2_true_exit(self, tmp_path, capsys):
+        path = write_sim_config(tmp_path, sigma2_true=1e308)
+        code = main(["simulate", "--config", str(path), "--format", "json"])
+        assert code == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "not finite" in captured.err and captured.err.count("\n") == 1
+
     def test_negative_seed_override_exit(self, tmp_path, capsys):
         path = write_sim_config(tmp_path)
         assert main(["simulate", "--config", str(path), "--seed", "-1"]) == EXIT_USAGE
@@ -367,3 +406,86 @@ class TestSimulate:
         recorded = [r for r in payload["rows"] if not r["asserted"]]
         assert recorded and any(abs(r["z"]) > 4 for r in recorded)
         assert code == EXIT_OK
+
+
+# Cells and field values for the malformed-input fuzz: the ends of the
+# double range, subnormals, parse failures ("1,5" adds a cell) and wrong types.
+NUMERIC_CELL = st.one_of(
+    st.sampled_from(["0", "1", "-2.5", "1e308", "-1e308", "1e154", "1e-160", "1e-320",
+                     "5e-324"]),
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+)
+BAD_CELL = st.sampled_from(["nan", "inf", "abc", "", " ", "1e309", "0x1p3", "1,5"])
+JSON_VALUE = st.one_of(
+    st.none(), st.booleans(), st.text(max_size=4),
+    st.integers(-3, 2**130), st.floats(), st.sampled_from([1e308, -1e308, 1e-320]),
+    st.lists(st.floats(), max_size=3), st.lists(st.lists(st.floats(), max_size=3), max_size=3),
+    st.dictionaries(st.text(max_size=2), st.integers(), max_size=2),
+)
+
+
+def run_main(argv):
+    """Run the CLI in process: (exit code, stdout, stderr)."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+def assert_clean_exit(code, out, err):
+    # A JSON result (success or a simulate z-alert), or a documented
+    # failure code with exactly one stderr line.
+    if code in (EXIT_OK, EXIT_ALERT):
+        assert err == "" and json.loads(out)
+    else:
+        assert 2 <= code <= 5, (code, err)
+        assert err.startswith("pcreg: ") and err.count("\n") == 1, err
+
+
+class TestMalformedInputFuzz:
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @settings(max_examples=150, deadline=None)
+    @given(
+        rows=st.lists(st.lists(NUMERIC_CELL, min_size=3, max_size=3), max_size=8),
+        defect=st.one_of(st.none(), st.tuples(st.integers(0, 23), BAD_CELL)),
+        command=st.sampled_from(["fit", "compare"]),
+        d=st.integers(0, 4),
+        mode=st.sampled_from(["none", "center", "zscore"]),
+        intercept=st.booleans(),
+    )
+    def test_csv_exits_cleanly(self, tmp_path_factory, rows, defect, command, d, mode,
+                               intercept):
+        if defect is not None and rows:
+            cell, token = defect
+            rows[cell // 3 % len(rows)][cell % 3] = token
+        path = tmp_path_factory.mktemp("fuzz") / "data.csv"
+        path.write_text("\n".join(["y,a,b"] + [",".join(row) for row in rows]) + "\n",
+                        encoding="utf-8")
+        argv = [command, "--input", str(path), "--response", "y",
+                "--standardize", mode, "--format", "json"]
+        if command == "compare" or d > 0:  # fit without --d is the OLS fit
+            argv += ["--d", str(d)]
+        assert_clean_exit(*run_main(argv + ([] if intercept else ["--no-intercept"])))
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @settings(max_examples=150, deadline=None)
+    @given(
+        field=st.sampled_from(["x", "beta_true", "sigma2_true", "d", "replicates", "seed"]),
+        value=JSON_VALUE,
+        drop=st.booleans(),
+        scale=st.sampled_from([1.0, 1e154, 1e307, 1e-160, 1e-320]),
+    )
+    def test_simulate_config_exits_cleanly(self, tmp_path_factory, field, value, drop, scale):
+        # One field replaced or dropped, on a design scaled toward the ends
+        # of the double range.  A valid but huge replicate count is a long
+        # run, not a malformed input, so replicate counts stay small.
+        if field == "replicates" and isinstance(value, int) and value > 200:
+            value = 100
+        fields = {"x": (np.random.default_rng(3).standard_normal((40, 3)) * scale).tolist(),
+                  "replicates": 100, field: value}
+        path = write_sim_config(tmp_path_factory.mktemp("fuzz"), **fields)
+        if drop:
+            raw = json.loads(path.read_text(encoding="utf-8"))
+            del raw[field]
+            path.write_text(json.dumps(raw), encoding="utf-8")
+        assert_clean_exit(*run_main(["simulate", "--config", str(path), "--format", "json"]))

@@ -9,7 +9,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pcreg import linalg
+from pcreg import fixture_path, linalg
+from pcreg.cli import EXIT_CONVERGENCE, load_csv, main, standardize
 from pcreg.errors import ConvergenceError, RankDeficiencyError, ValidationError
 from pcreg.linalg import (
     ComponentSplit,
@@ -73,10 +74,34 @@ class TestSvdThin:
         with pytest.raises(ValidationError):
             svd_thin(np.array([[1.0, np.nan], [0.0, 1.0]]))
 
-    def test_convergence_error_reports_norm(self, monkeypatch):
-        monkeypatch.setattr(linalg, "JACOBI_MAX_SWEEPS", 1)
-        with pytest.raises(ConvergenceError, match="off-diagonal"):
+    def test_lapack_failure_is_convergence_error(self, monkeypatch, capsys):
+        def fail(*args, **kwargs):
+            raise np.linalg.LinAlgError("SVD did not converge")
+
+        monkeypatch.setattr(linalg.np.linalg, "svd", fail)
+        with pytest.raises(ConvergenceError, match="did not converge"):
             svd_thin(random_matrix(0, 30, 8))
+        code = main(["fit", "--input", str(fixture_path()), "--response", "cost"])
+        assert code == EXIT_CONVERGENCE
+        err = capsys.readouterr().err
+        assert err.startswith("pcreg: convergence error:") and err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "design", ["fixture-none", "fixture-center", "fixture-zscore", "graded-9-decades"]
+    )
+    def test_singular_values_match_mpmath(self, design):
+        # Independent 40-digit reference: the numpy-based checks elsewhere
+        # compare the implementation with itself.
+        mpmath = pytest.importorskip("mpmath")
+        if design == "graded-9-decades":
+            x = random_matrix(0, 40, 6) * np.logspace(0.0, -9.0, 6)
+        else:
+            data = load_csv(fixture_path(), "cost")
+            x = standardize(data, design.split("-")[1])[0].x
+        with mpmath.workdps(40):
+            ref = mpmath.svd_r(mpmath.matrix(x.tolist()), compute_uv=False)
+            ref = np.array(sorted((float(s) for s in ref), reverse=True))
+        np.testing.assert_allclose(svd_thin(x).sigma, ref, rtol=1e-14, atol=0.0)
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -94,7 +119,8 @@ class TestSvdThin:
         np.testing.assert_allclose(f.v.T @ f.v, np.eye(p), atol=1e-10)
         np.testing.assert_allclose(f.v @ f.v.T, np.eye(p), atol=1e-10)
         assert np.all(np.diff(f.sigma) <= 0) and np.all(f.sigma >= 0)
-        # independent oracle for the spectrum
+        # the same LAPACK routine; test_singular_values_match_mpmath is the
+        # independent oracle
         np.testing.assert_allclose(
             f.sigma, np.linalg.svd(x, compute_uv=False), rtol=1e-9, atol=1e-12
         )
