@@ -103,12 +103,11 @@ class PcrEstimate:
     rss_d: float
 
 
-def _checked_factors(data: Dataset, factors: SvdFactors | None) -> SvdFactors:
-    f = factors if factors is not None else svd_thin(data.x)
-    if f.u.shape != data.x.shape:
-        raise ValidationError(
-            f"factors shape {f.u.shape} does not match design shape {data.x.shape}"
-        )
+def checked_factors(x: np.ndarray, factors: SvdFactors | None = None) -> SvdFactors:
+    """Factors of the design ``x`` (``factors`` if given), which must have full column rank."""
+    f = factors if factors is not None else svd_thin(x)
+    if f.u.shape != x.shape:
+        raise ValidationError(f"factors shape {f.u.shape} does not match design shape {x.shape}")
     cutoff = f.rank_cutoff
     near_zero = np.flatnonzero(f.sigma <= cutoff)
     if near_zero.size:
@@ -129,7 +128,7 @@ def fit_ols(data: Dataset, factors: SvdFactors | None = None) -> OlsEstimate:
     residual is ``y - U U^T y``, the projection ``fit_pcr`` uses, so at
     d = p the two fits agree bit for bit.
     """
-    f = _checked_factors(data, factors)
+    f = checked_factors(data.x, factors)
     n, p = data.x.shape
     scores = f.u.T @ data.y
     beta = f.v @ (scores / f.sigma)
@@ -149,7 +148,7 @@ def fit_pcr(data: Dataset, d: int, factors: SvdFactors | None = None) -> PcrEsti
     regression (divisors n-d, n-k, and n-1).  ``d = p`` is allowed and
     reproduces the OLS fit.
     """
-    f = _checked_factors(data, factors)
+    f = checked_factors(data.x, factors)
     n, p = data.x.shape
     split = ComponentSplit(d=d, p=p)
     y = data.y
@@ -202,7 +201,7 @@ def recover_ols_sigma2(
     Evaluates ``(sigma2_d * (n - d) - y^T H_k y) / (n - p)``, which equals
     the OLS estimate exactly because ``RSS_d = RSS + y^T H_k y``.
     """
-    f = _checked_factors(data, factors)
+    f = checked_factors(data.x, factors)
     n, p = data.x.shape
     d = pcr.split.d
     scores_k = f.u[:, d:].T @ data.y

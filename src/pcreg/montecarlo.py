@@ -9,11 +9,13 @@ the trace-derived ``E(RSS_d) = sigma2 (n - d) + omitted quad form`` and
 the alternative with ``n - p`` in place of ``n - d``; the adjudication
 between them is part of the output.
 
-Replicate streams come from a counter-based generator (numpy Philox,
-one ``jumped`` stream per replicate index), so results depend only on
-``(seed, replicate)`` and never on execution order; aggregation reduces
-over replicate-indexed arrays, keeping output bits independent of any
-parallel scheduling of the replicates themselves.
+Replicate streams come from a counter-based generator (numpy Philox):
+replicate r uses the key ``seed`` with the counter set to ``[0, 0, r, 0]``,
+the state that ``Philox(key=seed).jumped(r)`` reaches, built directly.
+Results depend only on ``(seed, replicate)`` and never on execution
+order; aggregation reduces over replicate-indexed arrays, keeping output
+bits independent of any parallel scheduling of the replicates themselves.
+The design is factored and checked for full column rank once per run.
 """
 
 from __future__ import annotations
@@ -24,9 +26,9 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .errors import PcregError, ValidationError
-from .linalg import ComponentSplit, gram_pseudo_inverse, svd_thin
-from .model import Dataset, fit_pcr
+from .errors import ValidationError
+from .linalg import ComponentSplit, gram_pseudo_inverse
+from .model import checked_factors
 
 GENERATOR_NAME = "numpy-philox-jumped-per-replicate"
 
@@ -137,41 +139,39 @@ class TheoryRow:
 
 
 def _replicate_rng(seed: int, index: int) -> np.random.Generator:
-    # Each replicate gets its own non-overlapping Philox stream.
-    return np.random.Generator(np.random.Philox(key=seed).jumped(index))
+    # Each replicate gets its own non-overlapping Philox stream, 2**128 counter steps apart.
+    return np.random.Generator(np.random.Philox(key=seed, counter=[0, 0, index, 0]))
 
 
 @np.errstate(all="ignore")
 def run_simulation(cfg: SimulationConfig) -> SimulationResult:
     """Run the configured replicates and aggregate.
 
-    Per replicate r the error vector is drawn from the (seed, r) stream,
-    the component regression is fitted, and the retained-slope vector and
-    residual variance are recorded.  Fit errors propagate annotated with
-    the replicate index.  Floating-point warnings are silenced; a
-    non-finite aggregate (a ``sigma2_true`` or design so large that the
-    sums of squares overflow) raises ValidationError instead.
+    The design is factored once and must have full column rank
+    (RankDeficiencyError otherwise).  Per replicate r the error vector is
+    drawn from the (seed, r) stream, with the counter addressed directly,
+    and only the aggregated quantities are computed: the retained slopes
+    and the residual sum of squares, by the expressions ``fit_pcr`` uses,
+    so each draw matches that fit bit for bit.  Floating-point warnings
+    are silenced; a non-finite aggregate (a ``sigma2_true`` or design so
+    large that the sums of squares overflow) raises ValidationError instead.
     """
-    f = svd_thin(cfg.x)
+    f = checked_factors(cfg.x)
     n, p, d = cfg.n, cfg.p, cfg.d
     split = ComponentSplit(d=d, p=p)
     mu = cfg.x @ cfg.beta_true
     sd = math.sqrt(cfg.sigma2_true)
 
     reps = cfg.replicates
-    sigma2_d_draws = np.empty(reps)
     rss_d_draws = np.empty(reps)
     beta_d_draws = np.empty((reps, p))
     for r in range(reps):
         y = mu + sd * _replicate_rng(cfg.seed, r).standard_normal(n)
-        data = Dataset(y=y, x=cfg.x)
-        try:
-            pcr = fit_pcr(data, d, factors=f)
-        except PcregError as exc:
-            raise type(exc)(f"replicate {r}: {exc}") from exc
-        sigma2_d_draws[r] = pcr.sigma2_d
-        rss_d_draws[r] = pcr.rss_d
-        beta_d_draws[r, :] = pcr.beta_d
+        scores = (f.u.T @ y)[:d]
+        resid = y - f.u[:, :d] @ scores
+        rss_d_draws[r] = resid @ resid
+        beta_d_draws[r] = f.v[:, :d] @ (scores / f.sigma[:d])
+    sigma2_d_draws = rss_d_draws / (n - d)
 
     # Ground-truth decomposition of beta over retained/omitted loadings.
     beta_k_true = f.v[:, d:] @ (f.v[:, d:].T @ cfg.beta_true)
