@@ -33,6 +33,8 @@ from .model import checked_factors
 GENERATOR_NAME = "numpy-philox-jumped-per-replicate"
 
 MIN_REPLICATES = 100
+# Bounds the run time and the draw arrays; keeps the counter word below 2**64.
+MAX_REPLICATES = 10**6
 # Philox keys are 128-bit.
 SEED_LIMIT = 2**128
 # Covariance rows need enough replicates for a meaningful matrix estimate.
@@ -83,9 +85,9 @@ class SimulationConfig:
             raise ValidationError(f"sigma2_true must be positive, got {self.sigma2_true}")
         if not 1 <= self.d <= p:
             raise ValidationError(f"d must lie in 1..{p}, got {self.d}")
-        if self.replicates < MIN_REPLICATES:
+        if not MIN_REPLICATES <= self.replicates <= MAX_REPLICATES:
             raise ValidationError(
-                f"replicates must be >= {MIN_REPLICATES}, got {self.replicates}"
+                f"replicates must lie in {MIN_REPLICATES}..{MAX_REPLICATES}, got {self.replicates}"
             )
         object.__setattr__(self, "x", x)
         object.__setattr__(self, "beta_true", beta)
@@ -147,14 +149,14 @@ def _replicate_rng(seed: int, index: int) -> np.random.Generator:
 def run_simulation(cfg: SimulationConfig) -> SimulationResult:
     """Run the configured replicates and aggregate.
 
-    The design is factored once and must have full column rank
+    The design is factored and checked for full column rank once
     (RankDeficiencyError otherwise).  Per replicate r the error vector is
-    drawn from the (seed, r) stream, with the counter addressed directly,
-    and only the aggregated quantities are computed: the retained slopes
-    and the residual sum of squares, by the expressions ``fit_pcr`` uses,
-    so each draw matches that fit bit for bit.  Floating-point warnings
-    are silenced; a non-finite aggregate (a ``sigma2_true`` or design so
-    large that the sums of squares overflow) raises ValidationError instead.
+    drawn from the counter-addressed (seed, r) stream, and only what is
+    aggregated is computed: the retained slopes and the residual sum of
+    squares, by the expressions ``fit_pcr`` uses, so the bits match its
+    fit.  Floating-point warnings are silenced; a non-finite aggregate (a
+    ``sigma2_true``, design or ``beta_true`` so large that the sums
+    overflow) raises ValidationError instead.
     """
     f = checked_factors(cfg.x)
     n, p, d = cfg.n, cfg.p, cfg.d
@@ -204,15 +206,17 @@ def run_simulation(cfg: SimulationConfig) -> SimulationResult:
         if field.name not in ("config", "generator") and not np.all(np.isfinite(value)):
             raise ValidationError(
                 f"simulation aggregate {field.name} is not finite: sigma2_true "
-                f"{cfg.sigma2_true:.3e} or the design is too large for double precision"
+                f"{cfg.sigma2_true:.3e}, the design or beta_true is too large for double precision"
             )
     return res
 
 
-def _z(observed: float, predicted: float, mcse: float) -> float:
-    if mcse == 0.0:
-        return 0.0 if observed == predicted else math.inf
-    return (observed - predicted) / mcse
+def _z(cfg: SimulationConfig, observed: float, predicted: float, mcse: float) -> float:
+    # The MCSE, floored at the rounding bound of an n-term fit followed by an
+    # R-term mean, so that rounding in a large mean never reads as deviation.
+    eps = np.finfo(float).eps
+    scale = max(mcse, (cfg.n + cfg.replicates) * eps * max(abs(observed), abs(predicted)))
+    return (observed - predicted) / scale if scale > 0.0 else 0.0
 
 
 def theory_comparison(res: SimulationResult) -> list[TheoryRow]:
@@ -233,7 +237,7 @@ def theory_comparison(res: SimulationResult) -> list[TheoryRow]:
                 predicted=float(res.predicted_mean_beta_d[j]),
                 observed=float(res.mean_beta_d[j]),
                 mcse=float(res.mcse_beta_d[j]),
-                z=_z(res.mean_beta_d[j], res.predicted_mean_beta_d[j], res.mcse_beta_d[j]),
+                z=_z(cfg, res.mean_beta_d[j], res.predicted_mean_beta_d[j], res.mcse_beta_d[j]),
             )
         )
     for label, predicted, asserted in (
@@ -246,7 +250,7 @@ def theory_comparison(res: SimulationResult) -> list[TheoryRow]:
                 predicted=predicted,
                 observed=res.mean_rss_d,
                 mcse=res.mcse_rss_d,
-                z=_z(res.mean_rss_d, predicted, res.mcse_rss_d),
+                z=_z(cfg, res.mean_rss_d, predicted, res.mcse_rss_d),
                 asserted=asserted,
             )
         )
@@ -261,7 +265,7 @@ def theory_comparison(res: SimulationResult) -> list[TheoryRow]:
                 predicted=predicted,
                 observed=observed_bias,
                 mcse=res.mcse_sigma2_d,
-                z=_z(observed_bias, predicted, res.mcse_sigma2_d),
+                z=_z(cfg, observed_bias, predicted, res.mcse_sigma2_d),
                 asserted=asserted,
             )
         )
@@ -288,8 +292,8 @@ def adjudicate_rss_dof(res: SimulationResult) -> dict:
     Compares the observed mean against both predictions and names the one
     with the smaller absolute z-score.
     """
-    z_nd = _z(res.mean_rss_d, res.predicted_rss_nd_dof, res.mcse_rss_d)
-    z_np = _z(res.mean_rss_d, res.predicted_rss_np_dof, res.mcse_rss_d)
+    z_nd = _z(res.config, res.mean_rss_d, res.predicted_rss_nd_dof, res.mcse_rss_d)
+    z_np = _z(res.config, res.mean_rss_d, res.predicted_rss_np_dof, res.mcse_rss_d)
     winner = "n-d" if abs(z_nd) <= abs(z_np) else "n-p"
     return {
         "winner": winner,

@@ -26,6 +26,7 @@ from pcreg.cli import (
 )
 from pcreg.errors import DataFormatError, DegreesOfFreedomError, ValidationError
 from pcreg.model import Dataset, fit_ols
+from pcreg.montecarlo import MAX_REPLICATES
 
 TOY_CSV = "y,a,b\n1,1,0\n2,0,2\n3,0,0\n"
 
@@ -342,6 +343,8 @@ class TestSimulate:
             ("d", None),
             ("d", 2.9),
             ("replicates", 100.7),
+            ("replicates", MAX_REPLICATES + 1),
+            ("replicates", 2**128),
         ],
     )
     def test_bad_field_value_exit(self, tmp_path, capsys, field, value):
@@ -359,6 +362,45 @@ class TestSimulate:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "not finite" in captured.err and captured.err.count("\n") == 1
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_overflowing_mean_exit(self, tmp_path, capsys):
+        # x @ beta_true overflows; the non-finite aggregate check reports it.
+        x = np.random.default_rng(3).standard_normal((40, 3)) * 1e300
+        path = write_sim_config(tmp_path, x=x.tolist(), beta_true=[1e10] * 3, replicates=100)
+        code = main(["simulate", "--config", str(path), "--format", "json"])
+        assert code == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("pcreg: error: simulation aggregate")
+        assert "not finite" in captured.err and captured.err.count("\n") == 1
+
+    def test_rank_deficient_design_exit(self, tmp_path, capsys):
+        x = np.random.default_rng(3).standard_normal((40, 3))
+        x[:, 2] = x[:, 1]
+        path = write_sim_config(tmp_path, x=x.tolist(), replicates=100)
+        code = main(["simulate", "--config", str(path), "--format", "json"])
+        assert code == EXIT_RANK
+        err = capsys.readouterr().err
+        assert err.startswith("pcreg: rank error: design is rank deficient")
+        assert err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "beta_true, sigma2_true",
+        [([0.0, 0.0, 1.32637956565435e14], 1.0), ([1.0, 0.0, 0.0], 1e-300)],
+    )
+    def test_rounding_in_a_large_mean_does_not_alert(self, tmp_path, capsys, beta_true,
+                                                      sigma2_true):
+        # Signal far above the noise: means differ from their predictions by
+        # a few ulps (with a zero MCSE in the second case), which the z floor
+        # keeps from reading as deviation.
+        path = write_sim_config(tmp_path, beta_true=beta_true, sigma2_true=sigma2_true,
+                                replicates=100)
+        code = main(["simulate", "--config", str(path), "--format", "json"])
+        assert code == EXIT_OK
+        rows = [r for r in json.loads(capsys.readouterr().out)["rows"] if r["asserted"]]
+        assert any(r["observed"] != r["predicted"] for r in rows)
+        assert all(abs(r["z"]) < 1.0 for r in rows)
 
     def test_negative_seed_override_exit(self, tmp_path, capsys):
         path = write_sim_config(tmp_path)
@@ -477,9 +519,10 @@ class TestMalformedInputFuzz:
     )
     def test_simulate_config_exits_cleanly(self, tmp_path_factory, field, value, drop, scale):
         # One field replaced or dropped, on a design scaled toward the ends
-        # of the double range.  A valid but huge replicate count is a long
-        # run, not a malformed input, so replicate counts stay small.
-        if field == "replicates" and isinstance(value, int) and value > 200:
+        # of the double range.  A valid but large replicate count is a long
+        # run, not a malformed input, so it is clamped; counts above the cap
+        # are malformed and reach the command line.
+        if field == "replicates" and isinstance(value, int) and 200 < value <= MAX_REPLICATES:
             value = 100
         fields = {"x": (np.random.default_rng(3).standard_normal((40, 3)) * scale).tolist(),
                   "replicates": 100, field: value}

@@ -4,13 +4,18 @@ These use small replicate counts; the full-scale runs specified for
 acceptance live in test_acceptance.py.
 """
 
+import math
+
 import numpy as np
 import pytest
 
 from pcreg.errors import ValidationError
 from pcreg.linalg import svd_thin
+from pcreg.model import Dataset, fit_pcr
 from pcreg.montecarlo import (
+    MAX_REPLICATES,
     SimulationConfig,
+    _replicate_rng,
     adjudicate_rss_dof,
     run_simulation,
     theory_comparison,
@@ -40,6 +45,12 @@ class TestSimulationConfig:
         with pytest.raises(ValidationError, match="replicates"):
             config(replicates=99)
 
+    def test_replicate_cap(self):
+        assert config(replicates=MAX_REPLICATES).replicates == MAX_REPLICATES
+        for count in (MAX_REPLICATES + 1, 2**128):
+            with pytest.raises(ValidationError, match="replicates"):
+                config(replicates=count)
+
     def test_sigma2_positive(self):
         with pytest.raises(ValidationError, match="sigma2"):
             config(sigma2_true=0.0)
@@ -51,6 +62,59 @@ class TestSimulationConfig:
     def test_beta_shape(self):
         with pytest.raises(ValidationError, match="beta_true"):
             config(beta_true=np.zeros(3))
+
+
+def jumped_rng(seed, r):
+    return np.random.Generator(np.random.Philox(key=seed).jumped(r))
+
+
+def reference_aggregates(cfg):
+    """The replicate loop through Dataset and fit_pcr, on jumped Philox streams."""
+    f = svd_thin(cfg.x)
+    mu = cfg.x @ cfg.beta_true
+    sd = math.sqrt(cfg.sigma2_true)
+    fits = [
+        fit_pcr(Dataset(y=mu + sd * jumped_rng(cfg.seed, r).standard_normal(cfg.n), x=cfg.x),
+                cfg.d, factors=f)
+        for r in range(cfg.replicates)
+    ]
+    sigma2 = np.array([fit.sigma2_d for fit in fits])
+    rss = np.array([fit.rss_d for fit in fits])
+    beta = np.array([fit.beta_d for fit in fits])
+    root = math.sqrt(cfg.replicates)
+    return {
+        "mean_beta_d": np.mean(beta, axis=0),
+        "empirical_cov_beta_d": np.cov(beta, rowvar=False, ddof=1),
+        "mean_sigma2_d": float(np.mean(sigma2)),
+        "mean_rss_d": float(np.mean(rss)),
+        "mcse_sigma2_d": float(np.std(sigma2, ddof=1)) / root,
+        "mcse_rss_d": float(np.std(rss, ddof=1)) / root,
+        "mcse_beta_d": np.std(beta, axis=0, ddof=1) / root,
+    }
+
+
+class TestReplicateStreams:
+    @pytest.mark.parametrize("seed", [7, 2**128 - 1])
+    @pytest.mark.parametrize("r", [0, 1, 4999])
+    def test_counter_stream_is_the_jumped_stream(self, seed, r):
+        a, b = _replicate_rng(seed, r), jumped_rng(seed, r)
+        assert a.standard_normal(257).tobytes() == b.standard_normal(257).tobytes()
+        assert a.integers(0, 2**63, 9).tobytes() == b.integers(0, 2**63, 9).tobytes()
+
+    @pytest.mark.parametrize(
+        "cfg",
+        [
+            config(beta_true=np.array([1.0, -0.5, 0.25, 2.0]), d=2, replicates=150, seed=3),
+            config(x=design(6, 50, 3), beta_true=np.array([1.0, 0.5, -0.25]), d=3,
+                   replicates=120, seed=2**128 - 1),
+        ],
+        ids=["d<p", "d=p"],
+    )
+    def test_aggregates_match_the_dataset_fit_pcr_loop(self, cfg):
+        res, ref = run_simulation(cfg), reference_aggregates(cfg)
+        for name, expected in ref.items():
+            got = np.asarray(getattr(res, name), dtype=float)
+            assert got.tobytes() == np.asarray(expected, dtype=float).tobytes(), name
 
 
 class TestRunSimulation:
