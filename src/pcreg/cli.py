@@ -24,6 +24,7 @@ import json
 import math
 import sys
 from dataclasses import dataclass
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -160,13 +161,28 @@ def load_csv(path: str | Path, response: str, add_intercept: bool = True) -> Dat
     return Dataset(y=y, x=x, names=tuple(names), intercept_included=add_intercept)
 
 
+def _column_moments(x: np.ndarray, moment) -> np.ndarray:
+    """Each column's ``moment(rows, axis=1)``, safe from overflow near the double range.
+
+    Each column becomes a contiguous row scaled by the power of two that
+    puts its largest magnitude in [0.5, 1), which is exact for normal
+    doubles, and the moments are scaled back.  A row reduces in the order
+    a lone column does, so the bits match the moment of each column.
+    """
+    _, exps = np.frexp(np.max(np.abs(x), axis=0))
+    rows = np.ldexp(x.T, -exps[:, None], order="C")
+    return np.ldexp(moment(rows, axis=1), exps)
+
+
 def standardize(data: Dataset, mode: str) -> tuple[Dataset, TransformRecord]:
     """Center or z-score the design columns, intercept exempt.
 
     ``center`` subtracts column means; ``zscore`` additionally divides by
     the sample standard deviation (n-1 divisor).  A zero-variance column
-    under zscore is an error naming the column.  The returned record
-    discloses the applied transform.
+    under zscore is an error naming the column.  Both moments are taken
+    on power-of-two-scaled columns (see ``_column_moments``), so a column
+    anywhere in the double range is standardized without overflow.  The
+    returned record discloses the applied transform.
     """
     if mode not in STANDARDIZE_MODES:
         raise ValidationError(f"unknown standardize mode {mode!r}; choose from {STANDARDIZE_MODES}")
@@ -176,20 +192,17 @@ def standardize(data: Dataset, mode: str) -> tuple[Dataset, TransformRecord]:
     if mode == "none":
         return data, TransformRecord(mode="none", means=means, scales=scales)
     x = data.x.copy()
-    start = 1 if data.intercept_included else 0
-    for j in range(start, p):
-        m = float(x[:, j].mean())
-        x[:, j] -= m
-        means[j] = m
+    cols = slice(1 if data.intercept_included else 0, p)
+    means[cols] = _column_moments(x[:, cols], np.mean)
+    x[:, cols] -= means[cols]
     if mode == "zscore":
-        for j in range(start, p):
-            s = float(x[:, j].std(ddof=1))
-            if s == 0.0:
-                raise ValidationError(
-                    f"column {data.names[j]!r} has zero variance; zscore undefined"
-                )
-            x[:, j] /= s
-            scales[j] = s
+        scales[cols] = _column_moments(x[:, cols], partial(np.std, ddof=1))
+        zero = np.flatnonzero(scales == 0.0)
+        if zero.size:
+            raise ValidationError(
+                f"column {data.names[zero[0]]!r} has zero variance; zscore undefined"
+            )
+        x[:, cols] /= scales[cols]
     out = Dataset(y=data.y, x=x, names=data.names, intercept_included=data.intercept_included)
     return out, TransformRecord(mode=mode, means=means, scales=scales)
 
@@ -209,6 +222,7 @@ def _transform_dict(record: TransformRecord) -> dict:
 def fit_payload(data: Dataset, d: int | None, record: TransformRecord) -> dict:
     """Single-model fit: OLS when d is None, else the component regression."""
     f = svd_thin(data.x)
+    ols = fit_ols(data, factors=f)
     config = {
         "n": data.n,
         "p": data.p,
@@ -217,7 +231,6 @@ def fit_payload(data: Dataset, d: int | None, record: TransformRecord) -> dict:
         "d": d,
     }
     if d is None:
-        ols = fit_ols(data, factors=f)
         return {
             "config": config,
             "estimates": {
@@ -229,7 +242,6 @@ def fit_payload(data: Dataset, d: int | None, record: TransformRecord) -> dict:
             "standard_errors": {"beta": np.sqrt(np.diag(ols.cov)).tolist()},
             "covariances": {"beta": ols.cov.tolist()},
         }
-    ols = fit_ols(data, factors=f)
     pcr = fit_pcr(data, d, factors=f)
     covs = pcr_covariance(f, ols, pcr)
     return {
@@ -258,9 +270,9 @@ def compare_payload(data: Dataset, d: int, record: TransformRecord) -> dict:
     se_k = np.sqrt(np.diag(covs.omitted))
     exceeds_k = se_k > report.se_ols
 
-    forms = sigma2_d_three_forms(data, pcr, ols=ols, factors=f)
+    forms = sigma2_d_three_forms(data, pcr, ols)
     spread = max(abs(v - pcr.sigma2_d) for v in forms)
-    recovered = recover_ols_sigma2(data, pcr, factors=f)
+    recovered = recover_ols_sigma2(data, pcr)
     residuals = {
         "beta_additivity": beta_additivity_check(ols, pcr),
         "sigma2_recovery": abs(recovered - ols.sigma2),

@@ -23,9 +23,9 @@ import numpy as np
 
 from .errors import ConvergenceError, RankDeficiencyError, ValidationError
 
-# Default relative rank tolerance; the effective cutoff is
-# rank_tol * max(sigma).
-DEFAULT_RANK_TOL_FACTOR = 1e-12
+# Relative rank tolerance per row or column; the cutoff is
+# RANK_TOL_FACTOR * max(n, p) * max(sigma).
+RANK_TOL_FACTOR = 1e-12
 
 SubsetLike = Union[str, Iterable[int]]
 
@@ -71,14 +71,12 @@ class SvdFactors:
     values in descending order, ``v`` is p x p orthogonal.  In every column
     of ``v`` the entry of largest magnitude is positive (ties resolved to
     the lowest row index), which makes the factorization reproducible
-    across runs.  ``rank_tol`` is the relative tolerance below which a
-    singular value is treated as zero (cutoff ``rank_tol * max(sigma)``).
+    across runs.
     """
 
     u: np.ndarray
     sigma: np.ndarray
     v: np.ndarray
-    rank_tol: float
 
     @property
     def n(self) -> int:
@@ -91,7 +89,7 @@ class SvdFactors:
     @property
     def rank_cutoff(self) -> float:
         """Absolute threshold separating usable from near-zero singular values."""
-        return self.rank_tol * float(self.sigma[0]) if self.sigma.size else 0.0
+        return (RANK_TOL_FACTOR * max(self.n, self.p)) * float(self.sigma[0])
 
 
 def _subset_indices(p: int, subset: SubsetLike) -> np.ndarray:
@@ -111,16 +109,13 @@ def _subset_indices(p: int, subset: SubsetLike) -> np.ndarray:
     return idx
 
 
-def svd_thin(x: np.ndarray, rank_tol: float | None = None) -> SvdFactors:
+def svd_thin(x: np.ndarray) -> SvdFactors:
     """Thin SVD of a tall dense matrix by LAPACK's divide-and-conquer ``gesdd``.
 
     Parameters
     ----------
     x : ndarray, shape (n, p) with n >= p
         Matrix to factor.  All entries must be finite.
-    rank_tol : float, optional
-        Relative rank tolerance stored on the result.  Defaults to
-        ``1e-12 * max(n, p)``.
 
     Returns
     -------
@@ -162,9 +157,7 @@ def svd_thin(x: np.ndarray, rank_tol: float | None = None) -> SvdFactors:
     # np.argmax resolves magnitude ties to the lowest row index.
     v = vt.T
     signs = np.where(v[np.argmax(np.abs(v), axis=0), np.arange(p)] < 0.0, -1.0, 1.0)
-    if rank_tol is None:
-        rank_tol = DEFAULT_RANK_TOL_FACTOR * max(n, p)
-    return SvdFactors(u=u * signs, sigma=sigma, v=v * signs, rank_tol=float(rank_tol))
+    return SvdFactors(u=u * signs, sigma=sigma, v=v * signs)
 
 
 def hat_matrix(f: SvdFactors, subset: SubsetLike) -> np.ndarray:
@@ -174,10 +167,7 @@ def hat_matrix(f: SvdFactors, subset: SubsetLike) -> np.ndarray:
     subset returns the n x n zero matrix (projection onto nothing), which
     is the documented behavior rather than an error.
     """
-    idx = _subset_indices(f.p, subset)
-    if idx.size == 0:
-        return np.zeros((f.n, f.n))
-    us = f.u[:, idx]
+    us = f.u[:, _subset_indices(f.p, subset)]
     return us @ us.T
 
 

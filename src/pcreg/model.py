@@ -88,13 +88,15 @@ class PcrEstimate:
 
     ``beta_pc_d`` are the d score-space coefficients, ``beta_d`` their
     rotation back to predictor space (in span of the retained loadings),
-    ``beta_k`` the complementary omitted-space slopes.  ``sigma2_q`` holds
+    ``beta_pc_k`` the k omitted-component scores and ``beta_k`` the
+    complementary omitted-space slopes.  ``sigma2_q`` holds
     the residual variance of the single-component regression for every
     component, omitted ones included.
     """
 
     split: ComponentSplit
     beta_pc_d: np.ndarray
+    beta_pc_k: np.ndarray
     beta_d: np.ndarray
     beta_k: np.ndarray
     sigma2_d: float
@@ -143,7 +145,7 @@ def fit_ols(data: Dataset, factors: SvdFactors | None = None) -> OlsEstimate:
 def fit_pcr(data: Dataset, d: int, factors: SvdFactors | None = None) -> PcrEstimate:
     """Fit the principal component regression that retains the d leading components.
 
-    Returns score-space coefficients ``U_d^T y``, both slope blocks, the
+    Returns the scores ``U_d^T y`` and ``U_k^T y``, both slope blocks, the
     residual variances of the d-, k-, and every single-component
     regression (divisors n-d, n-k, and n-1).  ``d = p`` is allowed and
     reproduces the OLS fit.
@@ -155,12 +157,13 @@ def fit_pcr(data: Dataset, d: int, factors: SvdFactors | None = None) -> PcrEsti
 
     scores = f.u.T @ y
     beta_pc_d = scores[: split.d]
+    beta_pc_k = scores[split.d :]
     beta_d = f.v[:, : split.d] @ (beta_pc_d / f.sigma[: split.d])
-    beta_k = f.v[:, split.d :] @ (scores[split.d :] / f.sigma[split.d :])
+    beta_k = f.v[:, split.d :] @ (beta_pc_k / f.sigma[split.d :])
 
     resid_d = y - f.u[:, : split.d] @ beta_pc_d
     rss_d = float(resid_d @ resid_d)
-    resid_k = y - f.u[:, split.d :] @ scores[split.d :]
+    resid_k = y - f.u[:, split.d :] @ beta_pc_k
     rss_k = float(resid_k @ resid_k)
 
     # Residuals of the p single-component regressions, one column each.
@@ -170,6 +173,7 @@ def fit_pcr(data: Dataset, d: int, factors: SvdFactors | None = None) -> PcrEsti
     return PcrEstimate(
         split=split,
         beta_pc_d=beta_pc_d,
+        beta_pc_k=beta_pc_k,
         beta_d=beta_d,
         beta_k=beta_k,
         sigma2_d=rss_d / (n - split.d),
@@ -193,36 +197,28 @@ def beta_additivity_check(ols: OlsEstimate, pcr: PcrEstimate) -> float:
     return float(np.max(np.abs(ols.beta - (pcr.beta_d + pcr.beta_k))))
 
 
-def recover_ols_sigma2(
-    data: Dataset, pcr: PcrEstimate, factors: SvdFactors | None = None
-) -> float:
+def recover_ols_sigma2(data: Dataset, pcr: PcrEstimate) -> float:
     """Recover the OLS residual variance from PCR quantities alone.
 
-    Evaluates ``(sigma2_d * (n - d) - y^T H_k y) / (n - p)``, which equals
-    the OLS estimate exactly because ``RSS_d = RSS + y^T H_k y``.
+    Evaluates ``(sigma2_d * (n - d) - y^T H_k y) / (n - p)`` with
+    ``y^T H_k y = beta_pc_k^T beta_pc_k``, the fit's own omitted scores; it
+    equals the OLS estimate exactly because ``RSS_d = RSS + y^T H_k y``.
     """
-    f = checked_factors(data.x, factors)
     n, p = data.x.shape
-    d = pcr.split.d
-    scores_k = f.u[:, d:].T @ data.y
-    y_hk_y = float(scores_k @ scores_k)
-    return (pcr.sigma2_d * (n - d) - y_hk_y) / (n - p)
+    y_hk_y = float(pcr.beta_pc_k @ pcr.beta_pc_k)
+    return (pcr.sigma2_d * (n - pcr.split.d) - y_hk_y) / (n - p)
 
 
 def sigma2_d_three_forms(
-    data: Dataset,
-    pcr: PcrEstimate,
-    ols: OlsEstimate | None = None,
-    factors: SvdFactors | None = None,
+    data: Dataset, pcr: PcrEstimate, ols: OlsEstimate
 ) -> tuple[float, float, float]:
     """The PCR residual variance written three equivalent ways.
 
     form1 rebuilds it from the OLS and omitted-set variances, form2 from
     the omitted single-component variances, form3 from the retained ones.
     All three equal ``sigma2_d`` up to rounding (contract: 1e-10 relative).
+    Both fits must come from ``data``.
     """
-    if ols is None:
-        ols = fit_ols(data, factors=factors)
     n, p = data.x.shape
     d, k = pcr.split.d, pcr.split.k
     yty = float(data.y @ data.y)
@@ -234,9 +230,9 @@ def sigma2_d_three_forms(
     return form1, form2, form3
 
 
-def default_names(p: int, prefix: str = "x") -> tuple[str, ...]:
+def default_names(p: int) -> tuple[str, ...]:
     """Generated column labels x1..xp for synthetic designs."""
-    return tuple(f"{prefix}{j + 1}" for j in range(p))
+    return tuple(f"x{j + 1}" for j in range(p))
 
 
 __all__ = [

@@ -26,8 +26,8 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .errors import ValidationError
-from .linalg import ComponentSplit, gram_pseudo_inverse
+from .errors import DegreesOfFreedomError, ValidationError
+from .linalg import gram_pseudo_inverse
 from .model import checked_factors
 
 GENERATOR_NAME = "numpy-philox-jumped-per-replicate"
@@ -76,7 +76,9 @@ class SimulationConfig:
             raise ValidationError(f"design must be 2-d, got ndim={x.ndim}")
         n, p = x.shape
         if n <= p:
-            raise ValidationError(f"need n > p, got n={n}, p={p}")
+            raise DegreesOfFreedomError(
+                f"need more observations than design columns: n={n}, p={p}"
+            )
         if beta.shape != (p,):
             raise ValidationError(f"beta_true must have shape ({p},), got {beta.shape}")
         if not (np.all(np.isfinite(x)) and np.all(np.isfinite(beta))):
@@ -160,7 +162,6 @@ def run_simulation(cfg: SimulationConfig) -> SimulationResult:
     """
     f = checked_factors(cfg.x)
     n, p, d = cfg.n, cfg.p, cfg.d
-    split = ComponentSplit(d=d, p=p)
     mu = cfg.x @ cfg.beta_true
     sd = math.sqrt(cfg.sigma2_true)
 
@@ -181,7 +182,7 @@ def run_simulation(cfg: SimulationConfig) -> SimulationResult:
     omitted_quad = float(np.sum((f.sigma[d:] * (f.v[:, d:].T @ cfg.beta_true)) ** 2))
 
     sigma2_d_pop = (cfg.sigma2_true * (n - d) + omitted_quad) / (n - d)
-    predicted_cov = gram_pseudo_inverse(f, split.retained) * sigma2_d_pop
+    predicted_cov = gram_pseudo_inverse(f, range(d)) * sigma2_d_pop
 
     root = math.sqrt(reps)
     res = SimulationResult(

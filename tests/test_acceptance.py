@@ -94,9 +94,9 @@ def test_criterion_1_exact_identity_suite():
                 ledger = ols.rss + float(y @ h_k @ y)
                 assert _rel_ok(pcr.rss_d, ledger)
                 # OLS residual variance recovered from the PCR fit
-                assert _rel_ok(recover_ols_sigma2(data, pcr, factors=f), ols.sigma2)
+                assert _rel_ok(recover_ols_sigma2(data, pcr), ols.sigma2)
                 # per-dimension identity, three ways
-                for form in sigma2_d_three_forms(data, pcr, ols=ols, factors=f):
+                for form in sigma2_d_three_forms(data, pcr, ols):
                     assert _rel_ok(form, pcr.sigma2_d)
                 # plug-in residual-variance ledger
                 rhs = ols.sigma2 * (n - p) + float(pcr.beta_k @ gram @ pcr.beta_k)
@@ -133,9 +133,9 @@ def test_criterion_2_hand_oracle_case():
     assert abs(pcr.sigma2_d - 5.0) <= 1e-12
     assert abs(pcr.sigma2_k - 6.5) <= 1e-12
     np.testing.assert_allclose(pcr.sigma2_q, [5.0, 6.5], atol=1e-12)
-    assert abs(recover_ols_sigma2(data, pcr, factors=f) - 9.0) <= 1e-12
+    assert abs(recover_ols_sigma2(data, pcr) - 9.0) <= 1e-12
     np.testing.assert_allclose(
-        sigma2_d_three_forms(data, pcr, ols=ols, factors=f), (5.0, 5.0, 5.0), atol=1e-12
+        sigma2_d_three_forms(data, pcr, ols), (5.0, 5.0, 5.0), atol=1e-12
     )
     covs = pcr_covariance(f, ols, pcr)
     for form in (covs.direct, covs.scaled, covs.difference):

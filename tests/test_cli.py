@@ -179,6 +179,61 @@ class TestStandardize:
             )
 
 
+    def test_moments_are_each_columns_own_bits(self):
+        # The scaled, row-wise moments equal numpy's mean and std of each
+        # column alone, bit for bit, so rescaling moves no output.
+        raw = load_csv(fixture_path(), "cost")
+        rng = np.random.default_rng(21)
+        wide = Dataset(y=rng.standard_normal(300), x=rng.standard_normal((300, 6)) * 1e3 + 7.0)
+        for data in (raw, wide):
+            start = 1 if data.intercept_included else 0
+            out, record = standardize(data, "zscore")
+            for j in range(start, data.p):
+                centered = data.x[:, j] - data.x[:, j].mean()
+                assert record.means[j] == data.x[:, j].mean()
+                assert record.scales[j] == centered.std(ddof=1)
+                assert out.x[:, j].tobytes() == (centered / centered.std(ddof=1)).tobytes()
+
+    def test_zscore_of_a_column_whose_squares_underflow(self):
+        # Squares of entries near 1e-170 underflow to zero; the column must
+        # still z-score like the same column at unit scale.
+        rng = np.random.default_rng(2)
+        x = np.column_stack([np.ones(20), rng.standard_normal((20, 2))])
+        data = Dataset(y=rng.standard_normal(20), x=x, intercept_included=True)
+        tiny = Dataset(y=data.y, x=x * [1.0, 1e-170, 1.0], intercept_included=True)
+        want, _ = standardize(data, "zscore")
+        got, record = standardize(tiny, "zscore")
+        np.testing.assert_allclose(got.x, want.x, rtol=1e-14, atol=1e-14)
+        assert record.scales[1] == pytest.approx(1e-170 * x[:, 1].std(ddof=1), rel=1e-14)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_columns_near_the_double_range(self, tmp_path):
+        # The sums inside a column's mean and standard deviation overflow
+        # near 1e308 unless they are taken on a power-of-two-scaled copy.
+        big, small = tmp_path / "big.csv", tmp_path / "small.csv"
+        big.write_text("y,a\n1,1e308\n2,1.5e308\n3,1.2e308\n4,1.7e308\n5,1.1e308\n",
+                       encoding="utf-8")
+        small.write_text(big.read_text(encoding="utf-8").replace("e308", "e8"), encoding="utf-8")
+        argv = ["compare", "--response", "y", "--d", "1", "--format", "json"]
+        code, out, err = run_main([*argv, "--input", str(big), "--standardize", "zscore"])
+        assert code == EXIT_OK and err == ""
+        got = json.loads(out)
+        assert got["config"]["standardize"]["means"][1] == pytest.approx(1.3e308, rel=1e-15)
+        want = json.loads(run_main([*argv, "--input", str(small), "--standardize", "zscore"])[1])
+        # The z-scored columns agree to a few ulps: the 1e308 column is not
+        # an exact power-of-two multiple of the 1e8 one.
+        for key in ("ols", "pcr_d", "pcr_k", "beta_pc_d"):
+            np.testing.assert_allclose(got["estimates"][key], want["estimates"][key],
+                                       rtol=1e-15, atol=1e-15)
+        np.testing.assert_allclose(got["estimates"]["sigma2"]["ols"],
+                                   want["estimates"]["sigma2"]["ols"], rtol=1e-15)
+        # Centered, the column dwarfs the intercept, whose singular value
+        # sqrt(5) is reported below the rank cutoff.
+        code, out, err = run_main([*argv, "--input", str(big), "--standardize", "center"])
+        assert code == EXIT_RANK and out == ""
+        assert err.strip().endswith("1: 2.236e+00") and err.count("\n") == 1
+
+
 class TestComparePayload:
     def test_toy_full_precision_json_values(self, toy_csv):
         data = load_csv(toy_csv, "y", add_intercept=False)
@@ -401,6 +456,13 @@ class TestSimulate:
         rows = [r for r in json.loads(capsys.readouterr().out)["rows"] if r["asserted"]]
         assert any(r["observed"] != r["predicted"] for r in rows)
         assert all(abs(r["z"]) < 1.0 for r in rows)
+
+    def test_too_few_observations_exit(self, tmp_path, capsys):
+        path = write_sim_config(tmp_path, x=[[1.0, 0.0], [0.0, 1.0]], beta_true=[1.0, 0.0], d=1)
+        code = main(["simulate", "--config", str(path)])
+        assert code == EXIT_DOF
+        err = capsys.readouterr().err
+        assert err.startswith("pcreg: dof error:") and err.count("\n") == 1
 
     def test_negative_seed_override_exit(self, tmp_path, capsys):
         path = write_sim_config(tmp_path)

@@ -102,6 +102,16 @@ class TestFitOls:
         with pytest.raises(RankDeficiencyError, match="near-zero"):
             fit_ols(Dataset(y=np.ones(8), x=x))
 
+    def test_rank_cutoff(self):
+        # The cutoff is 1e-12 * max(n, p) * max(sigma) = 4e-12 on this 4 x 2 design.
+        def design(t):
+            x = np.array([[1.0, 0.0], [0.0, t], [0.0, 0.0], [0.0, 0.0]])
+            return Dataset(y=np.array([1.0, 2.0, 3.0, 4.0]), x=x)
+
+        fit_ols(design(5e-12))
+        with pytest.raises(RankDeficiencyError, match=r"tolerance 4\.000e-12"):
+            fit_ols(design(3e-12))
+
     def test_cov_symmetric_psd(self):
         data = random_dataset(7, 30, 5)
         ols = fit_ols(data)
@@ -145,6 +155,16 @@ class TestFitPcr:
         np.testing.assert_allclose(pcr.beta_d, ols.beta, atol=1e-10)
         assert abs(pcr.sigma2_d - ols.sigma2) <= 1e-10 * (1 + ols.sigma2)
         np.testing.assert_array_equal(pcr.beta_k, np.zeros(4))
+
+    def test_scores_split_the_projection(self):
+        data = random_dataset(8, 30, 5)
+        f = svd_thin(data.x)
+        scores = f.u.T @ data.y
+        for d in range(1, 6):
+            pcr = fit_pcr(data, d, factors=f)
+            split = np.concatenate([pcr.beta_pc_d, pcr.beta_pc_k])
+            assert split.tobytes() == scores.tobytes()
+        assert pcr.beta_pc_k.shape == (0,)
 
     def test_d_bounds(self, toy):
         with pytest.raises(ValidationError):
@@ -246,18 +266,18 @@ class TestIdentities:
 
     def test_three_forms_hand_oracle(self, toy):
         pcr = fit_pcr(toy, 1)
-        forms = sigma2_d_three_forms(toy, pcr)
+        forms = sigma2_d_three_forms(toy, pcr, fit_ols(toy))
         np.testing.assert_allclose(forms, (5.0, 5.0, 5.0), atol=1e-12)
 
     def test_three_forms_edges(self):
         data = random_dataset(17, 30, 5)
+        ols = fit_ols(data)
         pcr1 = fit_pcr(data, 1)
-        f1 = sigma2_d_three_forms(data, pcr1)
+        f1 = sigma2_d_three_forms(data, pcr1, ols)
         # with one retained component form3 collapses to that component's variance
         assert abs(f1[2] - pcr1.sigma2_q[0]) <= 1e-10 * (1 + pcr1.sigma2_q[0])
-        ols = fit_ols(data)
         pcr5 = fit_pcr(data, 5)
-        f5 = sigma2_d_three_forms(data, pcr5, ols=ols)
+        f5 = sigma2_d_three_forms(data, pcr5, ols)
         assert abs(f5[2] - ols.sigma2) <= 1e-10 * (1 + ols.sigma2)
 
     @settings(max_examples=40, deadline=None)
@@ -265,5 +285,5 @@ class TestIdentities:
     def test_three_forms_random(self, seed, d):
         data = random_dataset(seed, 40, 7)
         pcr = fit_pcr(data, d)
-        for form in sigma2_d_three_forms(data, pcr):
+        for form in sigma2_d_three_forms(data, pcr, fit_ols(data)):
             assert abs(form - pcr.sigma2_d) <= 1e-10 * (1 + pcr.sigma2_d)
