@@ -20,12 +20,14 @@ from __future__ import annotations
 import argparse
 import csv
 import io
+import itertools
 import json
 import math
 import sys
 from dataclasses import dataclass
 from functools import partial
 from pathlib import Path
+from typing import NoReturn
 
 import numpy as np
 
@@ -95,9 +97,10 @@ class TransformRecord:
 def load_csv(path: str | Path, response: str, add_intercept: bool = True) -> Dataset:
     """Read a header-row CSV into a Dataset.
 
-    Cells must parse as finite decimal numbers ('.' radix, ',' delimiter).
-    A UTF-8 byte-order mark before the header and blank lines at the end
-    of the file are ignored.
+    Cells must parse as finite numbers with Python's ``float()`` ('.'
+    radix, ',' delimiter); the first bad row or cell in row-major order is
+    the one reported.  A UTF-8 byte-order mark before the header and
+    blank lines at the end of the file are ignored.
     The response column is excluded from the design; remaining columns
     keep file order, with an all-ones Intercept column prepended when
     ``add_intercept`` is set.
@@ -128,8 +131,33 @@ def load_csv(path: str | Path, response: str, add_intercept: bool = True) -> Dat
     if len(rows) == 1:
         raise DataFormatError(f"{path}: no data rows after the header")
 
+    # Cells go straight into the array, so no float object outlives its
+    # conversion.  Any failure rescans cell by cell for the message.
     ncol = len(header)
-    values = np.empty((len(rows) - 1, ncol))
+    cells = map(float, itertools.chain.from_iterable(rows[1:]))
+    try:
+        values = np.fromiter(cells, float, count=(len(rows) - 1) * ncol)
+        valid = set(map(len, rows[1:])) == {ncol} and np.isfinite(values).all()
+    except ValueError:  # a cell float() rejects, or too few cells
+        valid = False
+    if not valid:
+        _raise_first_bad_cell(path, header, rows)
+    values = values.reshape(-1, ncol)
+
+    resp_idx = header.index(response)
+    y = values[:, resp_idx]
+    keep = [j for j in range(ncol) if j != resp_idx]
+    x = values[:, keep]
+    names = [header[j] for j in keep]
+    if add_intercept:
+        x = np.column_stack([np.ones(x.shape[0]), x])
+        names = ["Intercept"] + names
+    return Dataset(y=y, x=x, names=tuple(names), intercept_included=add_intercept)
+
+
+def _raise_first_bad_cell(path: Path, header: list[str], rows: list[list[str]]) -> NoReturn:
+    """Raise the error of the first bad row or cell, in row-major order."""
+    ncol = len(header)
     for line_no, row in enumerate(rows[1:], start=2):
         if len(row) != ncol:
             raise DataFormatError(
@@ -148,17 +176,7 @@ def load_csv(path: str | Path, response: str, add_intercept: bool = True) -> Dat
                     f"{path}: row at line {line_no}, column {header[j]!r}: "
                     f"non-finite value {cell.strip()!r}"
                 )
-            values[line_no - 2, j] = v
-
-    resp_idx = header.index(response)
-    y = values[:, resp_idx]
-    keep = [j for j in range(ncol) if j != resp_idx]
-    x = values[:, keep]
-    names = [header[j] for j in keep]
-    if add_intercept:
-        x = np.column_stack([np.ones(x.shape[0]), x])
-        names = ["Intercept"] + names
-    return Dataset(y=y, x=x, names=tuple(names), intercept_included=add_intercept)
+    raise AssertionError("load_csv rejected a table whose every cell is valid")
 
 
 def _column_moments(x: np.ndarray, moment) -> np.ndarray:
@@ -494,19 +512,54 @@ def render_simulate_table(payload: dict) -> str:
     return table + "\n" + "\n".join(footer) + "\n"
 
 
-def _json_safe(value):
-    # Strict JSON has no NaN/Inf tokens; map non-finite floats to null.
+_float_repr = float.__repr__
+_json_string = json.encoder.encode_basestring_ascii
+
+
+def _json_text(value, pad: str) -> str:
+    """``value`` as ``json.dumps(value, sort_keys=True, indent=2)`` writes it
+    at the indentation ``pad``, with each non-finite float as ``null``.
+
+    CPython's ``json`` runs its pure-Python encoder whenever ``indent`` is
+    set; this writes the same bytes with one join per container.
+    """
+    if isinstance(value, float):
+        return _float_repr(value) if math.isfinite(value) else "null"
+    if isinstance(value, str):
+        return _json_string(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    inner = pad + "  "
+    sep = ",\n" + inner
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        try:  # the common case, a list of floats: one join
+            items = sep.join(map(_float_repr, value))
+        except TypeError:  # an item that is not a float
+            items = None
+        if items is None or "n" in items:  # or a "nan"/"inf" that must read null
+            items = sep.join([_json_text(v, inner) for v in value])
+        return "[\n" + inner + items + "\n" + pad + "]"
     if isinstance(value, dict):
-        return {k: _json_safe(v) for k, v in value.items()}
-    if isinstance(value, list):
-        return [_json_safe(v) for v in value]
-    if isinstance(value, float) and not math.isfinite(value):
-        return None
-    return value
+        if not value:
+            return "{}"
+        items = sep.join([_json_string(k) + ": " + _json_text(v, inner)
+                          for k, v in sorted(value.items())])
+        return "{\n" + inner + items + "\n" + pad + "}"
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
 def render_json(payload: dict) -> str:
-    return json.dumps(_json_safe(payload), sort_keys=True, indent=2, allow_nan=False) + "\n"
+    """The bytes of ``json.dumps(payload, sort_keys=True, indent=2)`` plus a
+    newline, with non-finite floats as ``null``."""
+    return _json_text(payload, "") + "\n"
 
 
 def _emit(text: str, out: str | None) -> None:

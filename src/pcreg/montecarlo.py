@@ -49,7 +49,8 @@ class SimulationConfig:
     X); errors are drawn iid normal with variance ``sigma2_true``, which
     is the assumption under which the stated sampling distributions hold.
     ``d``, ``replicates`` and ``seed`` must be integers (a bool or a float
-    is rejected, not truncated) and ``sigma2_true`` a real number.
+    is rejected, not truncated) and ``sigma2_true`` a finite positive
+    number.
     """
 
     x: np.ndarray
@@ -83,6 +84,8 @@ class SimulationConfig:
             raise ValidationError(f"beta_true must have shape ({p},), got {beta.shape}")
         if not (np.all(np.isfinite(x)) and np.all(np.isfinite(beta))):
             raise ValidationError("design or truth contains non-finite values")
+        if not math.isfinite(self.sigma2_true):
+            raise ValidationError(f"sigma2_true must be finite, got {self.sigma2_true}")
         if not self.sigma2_true > 0:
             raise ValidationError(f"sigma2_true must be positive, got {self.sigma2_true}")
         if not 1 <= self.d <= p:
@@ -105,7 +108,14 @@ class SimulationConfig:
 
 @dataclass(frozen=True)
 class SimulationResult:
-    """Aggregates over replicates next to their closed-form predictions."""
+    """Aggregates over replicates next to their closed-form predictions.
+
+    ``z_floor_rss`` (the RSS and bias rows) and ``z_floor_beta_d`` (per
+    slope) bound the rounding of the fit; each z-score divides by its
+    MCSE or its floor, whichever is larger.  ``z_floor_rss`` is infinite,
+    and the z-scores of those rows zero, where (n + R) eps |x beta_true|^2
+    overflows.
+    """
 
     config: SimulationConfig
     mean_sigma2_d: float
@@ -121,6 +131,8 @@ class SimulationResult:
     mcse_sigma2_d: float
     mcse_rss_d: float
     mcse_beta_d: np.ndarray
+    z_floor_rss: float
+    z_floor_beta_d: np.ndarray
     generator: str = GENERATOR_NAME
 
 
@@ -184,6 +196,12 @@ def run_simulation(cfg: SimulationConfig) -> SimulationResult:
     sigma2_d_pop = (cfg.sigma2_true * (n - d) + omitted_quad) / (n - d)
     predicted_cov = gram_pseudo_inverse(f, range(d)) * sigma2_d_pop
 
+    # The rounding of an n-term fit followed by an R-term mean scales with
+    # |y|, which is |mu| when the signal dwarfs the noise: (n + R) eps |mu|^2
+    # for a sum of squares, and (n + R) eps |mu| / s_d for a retained score,
+    # which reaches slope j through at most max_q |v_jq|.
+    norm_mu = math.hypot(*mu)  # no overflow in the squares
+    rounding = (n + reps) * np.finfo(float).eps * norm_mu
     root = math.sqrt(reps)
     res = SimulationResult(
         config=cfg,
@@ -201,10 +219,13 @@ def run_simulation(cfg: SimulationConfig) -> SimulationResult:
         mcse_sigma2_d=float(np.std(sigma2_d_draws, ddof=1)) / root,
         mcse_rss_d=float(np.std(rss_d_draws, ddof=1)) / root,
         mcse_beta_d=np.std(beta_d_draws, axis=0, ddof=1) / root,
+        z_floor_rss=rounding * norm_mu,
+        z_floor_beta_d=rounding / f.sigma[d - 1] * np.max(np.abs(f.v[:, :d]), axis=1),
     )
     for field in fields(res):
-        value = getattr(res, field.name)
-        if field.name not in ("config", "generator") and not np.all(np.isfinite(value)):
+        if field.name in ("config", "generator", "z_floor_rss", "z_floor_beta_d"):
+            continue
+        if not np.all(np.isfinite(getattr(res, field.name))):
             raise ValidationError(
                 f"simulation aggregate {field.name} is not finite: sigma2_true "
                 f"{cfg.sigma2_true:.3e}, the design or beta_true is too large for double precision"
@@ -212,11 +233,9 @@ def run_simulation(cfg: SimulationConfig) -> SimulationResult:
     return res
 
 
-def _z(cfg: SimulationConfig, observed: float, predicted: float, mcse: float) -> float:
-    # The MCSE, floored at the rounding bound of an n-term fit followed by an
-    # R-term mean, so that rounding in a large mean never reads as deviation.
-    eps = np.finfo(float).eps
-    scale = max(mcse, (cfg.n + cfg.replicates) * eps * max(abs(observed), abs(predicted)))
+def _z(observed: float, predicted: float, mcse: float, floor: float) -> float:
+    # Rounding in the fit never reads as deviation: the MCSE is floored at its bound.
+    scale = max(mcse, floor)
     return (observed - predicted) / scale if scale > 0.0 else 0.0
 
 
@@ -238,7 +257,8 @@ def theory_comparison(res: SimulationResult) -> list[TheoryRow]:
                 predicted=float(res.predicted_mean_beta_d[j]),
                 observed=float(res.mean_beta_d[j]),
                 mcse=float(res.mcse_beta_d[j]),
-                z=_z(cfg, res.mean_beta_d[j], res.predicted_mean_beta_d[j], res.mcse_beta_d[j]),
+                z=_z(res.mean_beta_d[j], res.predicted_mean_beta_d[j], res.mcse_beta_d[j],
+                     res.z_floor_beta_d[j]),
             )
         )
     for label, predicted, asserted in (
@@ -251,7 +271,7 @@ def theory_comparison(res: SimulationResult) -> list[TheoryRow]:
                 predicted=predicted,
                 observed=res.mean_rss_d,
                 mcse=res.mcse_rss_d,
-                z=_z(cfg, res.mean_rss_d, predicted, res.mcse_rss_d),
+                z=_z(res.mean_rss_d, predicted, res.mcse_rss_d, res.z_floor_rss),
                 asserted=asserted,
             )
         )
@@ -266,7 +286,7 @@ def theory_comparison(res: SimulationResult) -> list[TheoryRow]:
                 predicted=predicted,
                 observed=observed_bias,
                 mcse=res.mcse_sigma2_d,
-                z=_z(cfg, observed_bias, predicted, res.mcse_sigma2_d),
+                z=_z(observed_bias, predicted, res.mcse_sigma2_d, res.z_floor_rss),
                 asserted=asserted,
             )
         )
@@ -293,8 +313,8 @@ def adjudicate_rss_dof(res: SimulationResult) -> dict:
     Compares the observed mean against both predictions and names the one
     with the smaller absolute z-score.
     """
-    z_nd = _z(res.config, res.mean_rss_d, res.predicted_rss_nd_dof, res.mcse_rss_d)
-    z_np = _z(res.config, res.mean_rss_d, res.predicted_rss_np_dof, res.mcse_rss_d)
+    z_nd = _z(res.mean_rss_d, res.predicted_rss_nd_dof, res.mcse_rss_d, res.z_floor_rss)
+    z_np = _z(res.mean_rss_d, res.predicted_rss_np_dof, res.mcse_rss_d, res.z_floor_rss)
     winner = "n-d" if abs(z_nd) <= abs(z_np) else "n-p"
     return {
         "winner": winner,

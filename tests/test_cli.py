@@ -1,13 +1,15 @@
 """Tests for CSV ingestion, standardization, and the command surface."""
 
 import contextlib
+import dataclasses
 import io
 import json
+import math
 import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pcreg import fixture_path
@@ -22,11 +24,12 @@ from pcreg.cli import (
     load_simulation_config,
     main,
     render_compare_table,
+    render_json,
     standardize,
 )
 from pcreg.errors import DataFormatError, DegreesOfFreedomError, ValidationError
 from pcreg.model import Dataset, fit_ols
-from pcreg.montecarlo import MAX_REPLICATES
+from pcreg.montecarlo import MAX_REPLICATES, run_simulation, theory_comparison
 
 TOY_CSV = "y,a,b\n1,1,0\n2,0,2\n3,0,0\n"
 
@@ -127,6 +130,28 @@ class TestLoadCsv:
         path.write_text("y,a\n1,2\n\n3,5\n4,1\n", encoding="utf-8")
         with pytest.raises(DataFormatError, match="line 3"):
             load_csv(path, "y")
+
+    @pytest.mark.parametrize(
+        "text, error",
+        [
+            ("y,a\ninf,abc\n", "row at line 2, column 'y': non-finite value 'inf'"),
+            ("y,a\n1,nan\n2,abc\n", "row at line 2, column 'a': non-finite value 'nan'"),
+            ("y,a\n1,inf\n2\n", "row at line 2, column 'a': non-finite value 'inf'"),
+            ("y,a\n1, abc \n2\n", "row at line 2, column 'a': cannot parse 'abc' as a number"),
+            ("y,a\n-inf,1\n\n3,4\n", "row at line 2, column 'y': non-finite value '-inf'"),
+            ("y,a\n1\n2,3,4\n", "line 2: expected 2 cells, got 1"),
+        ],
+        ids=["inf-then-abc-in-a-row", "nan-then-abc-below", "inf-then-ragged-below",
+             "abc-then-ragged-below", "inf-then-blank-line", "short-row-then-long-row"],
+    )
+    def test_first_bad_cell_in_row_major_order(self, tmp_path, text, error):
+        # The first failing check in reading order is reported, whether the
+        # cell does not parse, is not finite, or its row is the wrong length.
+        path = tmp_path / "bad.csv"
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(DataFormatError) as excinfo:
+            load_csv(path, "y")
+        assert str(excinfo.value) == f"{path}: {error}"
 
     def test_too_few_rows_is_dof_error(self, tmp_path):
         path = tmp_path / "s.csv"
@@ -280,6 +305,51 @@ class TestComparePayload:
             assert not any(payload["diagnostics"]["exceeds_ols_d"]), mode
 
 
+def json_reference(value):
+    """The payload with every non-finite float as None, for ``json.dumps``."""
+    if isinstance(value, dict):
+        return {k: json_reference(v) for k, v in value.items()}
+    if isinstance(value, list):
+        return [json_reference(v) for v in value]
+    if isinstance(value, float) and not math.isfinite(value):
+        return None
+    return value
+
+
+JSON_FLOAT = st.one_of(
+    st.floats(),
+    st.sampled_from([0.0, -0.0, 5e-324, 1e-5, 1e16, 1e308, math.nan, math.inf, -math.inf]),
+)
+JSON_SCALAR = st.one_of(
+    JSON_FLOAT, JSON_FLOAT.map(np.float64), st.integers(), st.booleans(), st.none(), st.text(),
+)
+JSON_TREE = st.recursive(
+    JSON_SCALAR,
+    lambda tree: st.one_of(
+        st.lists(JSON_FLOAT),  # as numpy's tolist() gives
+        st.lists(st.one_of(JSON_FLOAT, JSON_SCALAR)),
+        st.lists(tree, max_size=4),
+        st.dictionaries(st.text(), tree, max_size=4),
+    ),
+    max_leaves=30,
+)
+
+
+class TestRenderJson:
+    @settings(max_examples=200, deadline=None)
+    @given(payload=st.dictionaries(st.text(), JSON_TREE, max_size=5))
+    @example(payload={
+        "floats": [0.0, -0.0, 5e-324, 1e-5, 1e16, 1e308, math.nan, math.inf, -math.inf],
+        "mixed": [1.5, 2, True, None, np.float64(math.nan), "s"],
+        "numpy": np.float64(-2.5),
+        "empty": [{}, []],
+        "\u00e9\x01\U0001f600": "\"\\\n\u2028\x7f\u00ff",
+    })
+    def test_bytes_of_json_dumps(self, payload):
+        want = json.dumps(json_reference(payload), sort_keys=True, indent=2, allow_nan=False)
+        assert render_json(payload) == want + "\n"
+
+
 class TestMainExitCodes:
     def test_compare_ok(self, toy_csv, tmp_path, capsys):
         out = tmp_path / "o.txt"
@@ -400,14 +470,16 @@ class TestSimulate:
             ("replicates", 100.7),
             ("replicates", MAX_REPLICATES + 1),
             ("replicates", 2**128),
+            ("sigma2_true", math.inf),
         ],
     )
     def test_bad_field_value_exit(self, tmp_path, capsys, field, value):
+        # Rejected when the config is read, with a message naming the field.
         path = write_sim_config(tmp_path, **{field: value})
         code = main(["simulate", "--config", str(path)])
         assert code == EXIT_USAGE
         err = capsys.readouterr().err
-        assert field in err and err.count("\n") == 1
+        assert err.startswith(f"pcreg: error: {field} must") and err.count("\n") == 1
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_overflowing_sigma2_true_exit(self, tmp_path, capsys):
@@ -441,21 +513,41 @@ class TestSimulate:
         assert err.count("\n") == 1
 
     @pytest.mark.parametrize(
-        "beta_true, sigma2_true",
-        [([0.0, 0.0, 1.32637956565435e14], 1.0), ([1.0, 0.0, 0.0], 1e-300)],
+        "beta_true, sigma2_true, d",
+        [([0.0, 0.0, 1.32637956565435e14], 1.0, 2), ([1.0, 0.0, 0.0], 1e-300, 2),
+         ([1.0, 0.0, 0.0], 1e-300, 3)],
+        ids=["beta_true0-1.0", "beta_true1-1e-300", "beta_true1-1e-300-d_equals_p"],
     )
     def test_rounding_in_a_large_mean_does_not_alert(self, tmp_path, capsys, beta_true,
-                                                      sigma2_true):
+                                                      sigma2_true, d):
         # Signal far above the noise: means differ from their predictions by
-        # a few ulps (with a zero MCSE in the second case), which the z floor
-        # keeps from reading as deviation.
+        # a few ulps (with a zero MCSE in the last two cases), which the z
+        # floor keeps from reading as deviation.  At d = p the residuals are
+        # the fit's rounding alone, far above the noise of 1e-300.
         path = write_sim_config(tmp_path, beta_true=beta_true, sigma2_true=sigma2_true,
-                                replicates=100)
+                                d=d, replicates=100)
         code = main(["simulate", "--config", str(path), "--format", "json"])
         assert code == EXIT_OK
         rows = [r for r in json.loads(capsys.readouterr().out)["rows"] if r["asserted"]]
         assert any(r["observed"] != r["predicted"] for r in rows)
         assert all(abs(r["z"]) < 1.0 for r in rows)
+
+    def test_a_ten_mcse_shift_still_alerts(self, tmp_path):
+        # The z floor stays below the MCSE of an ordinary run: moving each
+        # asserted prediction by 10 MCSE moves its z by exactly 10.
+        res = run_simulation(load_simulation_config(write_sim_config(tmp_path)))
+        shifted = dataclasses.replace(
+            res,
+            predicted_mean_beta_d=res.predicted_mean_beta_d + 10 * res.mcse_beta_d,
+            predicted_rss_nd_dof=res.predicted_rss_nd_dof + 10 * res.mcse_rss_d,
+            predicted_bias_nd_dof=res.predicted_bias_nd_dof + 10 * res.mcse_sigma2_d,
+        )
+        before = {row.claim: row.z for row in theory_comparison(res) if row.asserted}
+        after = {row.claim: row.z for row in theory_comparison(shifted) if row.asserted}
+        assert len(after) == 5
+        for claim, z in after.items():
+            assert z == pytest.approx(before[claim] - 10, rel=1e-12), claim
+            assert abs(z) > 4, claim
 
     def test_too_few_observations_exit(self, tmp_path, capsys):
         path = write_sim_config(tmp_path, x=[[1.0, 0.0], [0.0, 1.0]], beta_true=[1.0, 0.0], d=1)
