@@ -26,7 +26,6 @@ from .errors import (
     ValidationError,
 )
 from .linalg import (
-    ComponentSplit,
     SvdFactors,
     gram_pseudo_inverse,
     hat_matrix,
@@ -61,7 +60,6 @@ def fixture_path() -> Path:
 
 
 __all__ = [
-    "ComponentSplit",
     "ConvergenceError",
     "CovarianceSet",
     "DataFormatError",

@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import io
 import itertools
 import json
 import math
@@ -71,7 +70,7 @@ EXIT_ALERT = 6
 _EXIT_HELP = """\
 exit codes:
   0  success
-  2  input parse or validation error
+  2  input parse or validation error, or a path that cannot be read or written
   3  rank-deficient design
   4  too few observations (degrees of freedom)
   5  decomposition failed to converge
@@ -113,7 +112,7 @@ def load_csv(path: str | Path, response: str, add_intercept: bool = True) -> Dat
     except UnicodeDecodeError as exc:
         raise DataFormatError(f"{path}: not valid UTF-8: {exc}") from None
 
-    rows = list(csv.reader(io.StringIO(text)))
+    rows = list(csv.reader(_lines(text)))
     while rows and not rows[-1]:
         rows.pop()
     if not rows:
@@ -153,6 +152,20 @@ def load_csv(path: str | Path, response: str, add_intercept: bool = True) -> Dat
         x = np.column_stack([np.ones(x.shape[0]), x])
         names = ["Intercept"] + names
     return Dataset(y=y, x=x, names=tuple(names), intercept_included=add_intercept)
+
+
+def _lines(text: str):
+    """The lines of ``text`` as iterating ``io.StringIO(text)`` yields them,
+    without the buffer that holds a second copy of the whole text.
+
+    A line ends only after a "\n", which it keeps, so ``csv.reader``
+    leaves a quoted newline in its cell.
+    """
+    *lines, last = text.split("\n")
+    for line in lines:
+        yield line + "\n"
+    if last:
+        yield last
 
 
 def _raise_first_bad_cell(path: Path, header: list[str], rows: list[list[str]]) -> NoReturn:
@@ -669,8 +682,11 @@ def _run_data(args: argparse.Namespace, payload_fn, render_fn) -> int:
 
 
 def _run_simulate(args: argparse.Namespace) -> int:
+    threshold = args.alert_threshold
+    if not (math.isfinite(threshold) and threshold >= 0.0):
+        raise ValidationError(f"--alert-threshold must be finite and >= 0; got {threshold}")
     cfg = load_simulation_config(args.config, seed_override=args.seed)
-    payload, alert = simulate_payload(cfg, args.alert_threshold)
+    payload, alert = simulate_payload(cfg, threshold)
     text = render_json(payload) if args.format == "json" else render_simulate_table(payload)
     _emit(text, args.out)
     return EXIT_ALERT if alert else EXIT_OK
@@ -704,6 +720,9 @@ def main(argv: list[str] | None = None) -> int:
     except ConvergenceError as exc:
         print(f"pcreg: convergence error: {exc}", file=sys.stderr)
         return EXIT_CONVERGENCE
+    except OSError as exc:  # an input that cannot be read, an --out that cannot be written
+        print(f"pcreg: error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     except PcregError as exc:  # any future subclass: fail closed, not loudly
         print(f"pcreg: error: {exc}", file=sys.stderr)
         return 1

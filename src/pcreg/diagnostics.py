@@ -95,14 +95,13 @@ def pcr_covariance(f: SvdFactors, ols: OlsEstimate, pcr: PcrEstimate) -> Covaria
     the difference form is omitted (there is no omitted set), the omitted
     block is zero and direct = scaled = the OLS covariance.
     """
-    split = pcr.split
-    direct = gram_pseudo_inverse(f, split.retained) * pcr.sigma2_d
-    omitted = gram_pseudo_inverse(f, split.omitted) * pcr.sigma2_k
+    direct = gram_pseudo_inverse(f, np.s_[: pcr.d]) * pcr.sigma2_d
+    omitted = gram_pseudo_inverse(f, np.s_[pcr.d :]) * pcr.sigma2_k
     if ols.sigma2 < RATIO_GUARD:
         return CovarianceSet(direct, omitted, scaled=None, difference=None, degenerate=True)
     ratio = pcr.sigma2_d / ols.sigma2
-    scaled = ols.cov @ loading_projector(f, split.retained) * ratio
-    if split.k == 0:
+    scaled = ols.cov @ loading_projector(f, np.s_[: pcr.d]) * ratio
+    if pcr.k == 0:
         return CovarianceSet(direct, omitted, scaled=scaled, difference=None)
     if pcr.sigma2_k < RATIO_GUARD:
         return CovarianceSet(direct, omitted, scaled=scaled, difference=None, degenerate=True)
@@ -120,7 +119,7 @@ def variance_recomposition_check(
     ``covs.omitted``.  Requires 1 <= d < p and nonzero residual variances.
     Contract: <= 1e-8 * (1 + max diagonal).
     """
-    if pcr.split.k == 0:
+    if pcr.k == 0:
         raise ValidationError("recomposition needs at least one omitted component (d < p)")
     if pcr.sigma2_d < RATIO_GUARD or pcr.sigma2_k < RATIO_GUARD:
         raise ValidationError("recomposition undefined for a zero residual variance")
@@ -149,7 +148,7 @@ def build_report(f: SvdFactors, ols: OlsEstimate, pcr: PcrEstimate) -> Diagnosti
     gram = (f.v * f.sigma**2) @ f.v.T
     delta = ols.beta - pcr.beta_d
     quad = float(delta @ gram @ delta)
-    n, p, d = f.n, f.p, pcr.split.d
+    n, p, d = f.n, f.p, pcr.d
     plugin = ((n - p) / (n - d) - 1.0) * ols.sigma2 + quad / (n - d)
     return DiagnosticsReport(
         inflation_ratio=inflation,

@@ -1,23 +1,21 @@
 """Dense linear algebra for component regressions.
 
-Thin SVD through LAPACK (numpy's ``gesdd``) with a fixed sign rule, plus
-the component-subset operators (hat matrices, Gram pseudo-inverses,
-loading projectors) that the estimator and diagnostics layers consume.
-Everything here is a pure function of its inputs: identical input yields
-bit-identical output, values are never mutated after construction, and
-no global state exists, so all operations are safe to share across
-threads.
+Thin SVD through LAPACK (numpy's ``gesdd``) with a fixed sign rule, the
+rank rule, and the component operators (hat matrices, Gram
+pseudo-inverses, loading projectors) that the estimator and diagnostics
+layers consume.  Everything here is a pure function of its inputs:
+identical input yields bit-identical output, values are never mutated
+after construction, and no global state exists, so all operations are
+safe to share across threads.
 
-Component subsets are given either as the string ``"all"`` or as an
-iterable of 0-based component indices.  ``ComponentSplit`` provides the
-two subsets used throughout: the ``d`` leading (largest singular value)
-components and the ``k = p - d`` trailing ones.
+Components are named by a ``slice`` of the factor columns: ``np.s_[:d]``
+for the d leading (largest singular value) components, ``np.s_[d:]`` for
+the k = p - d trailing ones, and ``np.s_[:]`` for all of them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Union
 
 import numpy as np
 
@@ -26,41 +24,6 @@ from .errors import ConvergenceError, RankDeficiencyError, ValidationError
 # Relative rank tolerance per row or column; the cutoff is
 # RANK_TOL_FACTOR * max(n, p) * max(sigma).
 RANK_TOL_FACTOR = 1e-12
-
-SubsetLike = Union[str, Iterable[int]]
-
-
-@dataclass(frozen=True)
-class ComponentSplit:
-    """Partition of ``p`` components into ``d`` retained and ``k = p - d`` omitted.
-
-    The retained set is always the first ``d`` components (largest singular
-    values), the omitted set the trailing ``k``.
-    """
-
-    d: int
-    p: int
-
-    def __post_init__(self) -> None:
-        if not 1 <= self.d <= self.p:
-            raise ValidationError(
-                f"retained component count must satisfy 1 <= d <= p; "
-                f"got d={self.d} with p={self.p}"
-            )
-
-    @property
-    def k(self) -> int:
-        return self.p - self.d
-
-    @property
-    def retained(self) -> range:
-        """0-based indices of the d leading components."""
-        return range(self.d)
-
-    @property
-    def omitted(self) -> range:
-        """0-based indices of the k trailing components."""
-        return range(self.d, self.p)
 
 
 @dataclass(frozen=True)
@@ -90,23 +53,6 @@ class SvdFactors:
     def rank_cutoff(self) -> float:
         """Absolute threshold separating usable from near-zero singular values."""
         return (RANK_TOL_FACTOR * max(self.n, self.p)) * float(self.sigma[0])
-
-
-def _subset_indices(p: int, subset: SubsetLike) -> np.ndarray:
-    """Normalize a subset argument to a validated array of 0-based indices."""
-    if isinstance(subset, str):
-        if subset == "all":
-            return np.arange(p)
-        raise ValidationError(f"unknown subset {subset!r}; expected 'all' or indices")
-    idx = np.fromiter(subset, dtype=np.intp)
-    if idx.size:
-        if idx.min() < 0 or idx.max() >= p:
-            raise ValidationError(
-                f"component indices must lie in 0..{p - 1}; got {idx.tolist()}"
-            )
-        if np.unique(idx).size != idx.size:
-            raise ValidationError(f"component indices must be distinct; got {idx.tolist()}")
-    return idx
 
 
 def svd_thin(x: np.ndarray) -> SvdFactors:
@@ -160,42 +106,46 @@ def svd_thin(x: np.ndarray) -> SvdFactors:
     return SvdFactors(u=u * signs, sigma=sigma, v=v * signs)
 
 
-def hat_matrix(f: SvdFactors, subset: SubsetLike) -> np.ndarray:
-    """Projection ``U_s U_s^T`` onto the fitted space of a component subset.
+def check_rank(f: SvdFactors, cols: slice) -> None:
+    """Raise RankDeficiencyError naming every component in ``cols`` whose
+    singular value is at or below the rank cutoff."""
+    cutoff = f.rank_cutoff
+    near_zero = np.arange(f.p)[cols][f.sigma[cols] <= cutoff]
+    if near_zero.size:
+        pairs = ", ".join(f"{q}: {f.sigma[q]:.3e}" for q in near_zero.tolist())
+        raise RankDeficiencyError(
+            f"design is rank deficient at tolerance {cutoff:.3e}; "
+            f"near-zero singular value(s) at component(s) {pairs}"
+        )
 
-    Symmetric, idempotent, with trace equal to the subset size.  An empty
-    subset returns the n x n zero matrix (projection onto nothing), which
-    is the documented behavior rather than an error.
+
+def hat_matrix(f: SvdFactors, cols: slice) -> np.ndarray:
+    """Projection ``U_s U_s^T`` onto the fitted space of the components ``cols``.
+
+    Symmetric, idempotent, with trace equal to the number of components.
+    An empty slice returns the n x n zero matrix (projection onto
+    nothing), which is the documented behavior rather than an error.
     """
-    us = f.u[:, _subset_indices(f.p, subset)]
+    us = f.u[:, cols]
     return us @ us.T
 
 
-def gram_pseudo_inverse(f: SvdFactors, subset: SubsetLike) -> np.ndarray:
+def gram_pseudo_inverse(f: SvdFactors, cols: slice) -> np.ndarray:
     """Moore-Penrose pseudo-inverse ``V_s Sigma_s^-2 V_s^T`` of ``X_s^T X_s``.
 
-    Raises RankDeficiencyError naming the offending components when the
-    subset touches a singular value at or below the rank cutoff.
+    Raises RankDeficiencyError (see ``check_rank``) when ``cols`` touches
+    a singular value at or below the rank cutoff.
     """
-    idx = _subset_indices(f.p, subset)
-    cutoff = f.rank_cutoff
-    bad = idx[f.sigma[idx] <= cutoff]
-    if bad.size:
-        pairs = ", ".join(f"{q}: {f.sigma[q]:.3e}" for q in bad.tolist())
-        raise RankDeficiencyError(
-            f"singular value(s) at or below the rank cutoff {cutoff:.3e} "
-            f"for component(s) {pairs}"
-        )
-    vs = f.v[:, idx]
-    return (vs / f.sigma[idx] ** 2) @ vs.T
+    check_rank(f, cols)
+    vs = f.v[:, cols]
+    return (vs / f.sigma[cols] ** 2) @ vs.T
 
 
-def loading_projector(f: SvdFactors, subset: SubsetLike) -> np.ndarray:
-    """Outer product ``V_s V_s^T`` of the selected right singular vectors.
+def loading_projector(f: SvdFactors, cols: slice) -> np.ndarray:
+    """Outer product ``V_s V_s^T`` of the right singular vectors ``cols``.
 
-    Symmetric idempotent with every diagonal entry in [0, 1]; the full
-    subset gives the identity.
+    Symmetric idempotent with every diagonal entry in [0, 1]; all
+    components give the identity.
     """
-    idx = _subset_indices(f.p, subset)
-    vs = f.v[:, idx]
+    vs = f.v[:, cols]
     return vs @ vs.T

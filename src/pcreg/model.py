@@ -12,8 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegreesOfFreedomError, RankDeficiencyError, ValidationError
-from .linalg import ComponentSplit, SvdFactors, gram_pseudo_inverse, svd_thin
+from .errors import DegreesOfFreedomError, ValidationError
+from .linalg import SvdFactors, check_rank, gram_pseudo_inverse, svd_thin
 
 
 @dataclass(frozen=True)
@@ -94,7 +94,6 @@ class PcrEstimate:
     component, omitted ones included.
     """
 
-    split: ComponentSplit
     beta_pc_d: np.ndarray
     beta_pc_k: np.ndarray
     beta_d: np.ndarray
@@ -104,20 +103,23 @@ class PcrEstimate:
     sigma2_q: np.ndarray
     rss_d: float
 
+    @property
+    def d(self) -> int:
+        """Number of retained (leading) components."""
+        return self.beta_pc_d.size
+
+    @property
+    def k(self) -> int:
+        """Number of omitted (trailing) components, ``p - d``."""
+        return self.beta_pc_k.size
+
 
 def checked_factors(x: np.ndarray, factors: SvdFactors | None = None) -> SvdFactors:
     """Factors of the design ``x`` (``factors`` if given), which must have full column rank."""
     f = factors if factors is not None else svd_thin(x)
     if f.u.shape != x.shape:
         raise ValidationError(f"factors shape {f.u.shape} does not match design shape {x.shape}")
-    cutoff = f.rank_cutoff
-    near_zero = np.flatnonzero(f.sigma <= cutoff)
-    if near_zero.size:
-        pairs = ", ".join(f"{q}: {f.sigma[q]:.3e}" for q in near_zero.tolist())
-        raise RankDeficiencyError(
-            f"design is rank deficient at tolerance {cutoff:.3e}; "
-            f"near-zero singular value(s) {pairs}"
-        )
+    check_rank(f, np.s_[:])
     return f
 
 
@@ -138,7 +140,7 @@ def fit_ols(data: Dataset, factors: SvdFactors | None = None) -> OlsEstimate:
     rss = float(resid @ resid)
     dof = n - p
     sigma2 = rss / dof
-    cov = gram_pseudo_inverse(f, "all") * sigma2
+    cov = gram_pseudo_inverse(f, np.s_[:]) * sigma2
     return OlsEstimate(beta=beta, sigma2=sigma2, cov=cov, rss=rss, dof=dof)
 
 
@@ -148,22 +150,25 @@ def fit_pcr(data: Dataset, d: int, factors: SvdFactors | None = None) -> PcrEsti
     Returns the scores ``U_d^T y`` and ``U_k^T y``, both slope blocks, the
     residual variances of the d-, k-, and every single-component
     regression (divisors n-d, n-k, and n-1).  ``d = p`` is allowed and
-    reproduces the OLS fit.
+    reproduces the OLS fit; a d outside 1..p is a ValidationError.
     """
-    f = checked_factors(data.x, factors)
     n, p = data.x.shape
-    split = ComponentSplit(d=d, p=p)
+    if not 1 <= d <= p:
+        raise ValidationError(
+            f"retained component count must satisfy 1 <= d <= p; got d={d} with p={p}"
+        )
+    f = checked_factors(data.x, factors)
     y = data.y
 
     scores = f.u.T @ y
-    beta_pc_d = scores[: split.d]
-    beta_pc_k = scores[split.d :]
-    beta_d = f.v[:, : split.d] @ (beta_pc_d / f.sigma[: split.d])
-    beta_k = f.v[:, split.d :] @ (beta_pc_k / f.sigma[split.d :])
+    beta_pc_d = scores[:d]
+    beta_pc_k = scores[d:]
+    beta_d = f.v[:, :d] @ (beta_pc_d / f.sigma[:d])
+    beta_k = f.v[:, d:] @ (beta_pc_k / f.sigma[d:])
 
-    resid_d = y - f.u[:, : split.d] @ beta_pc_d
+    resid_d = y - f.u[:, :d] @ beta_pc_d
     rss_d = float(resid_d @ resid_d)
-    resid_k = y - f.u[:, split.d :] @ beta_pc_k
+    resid_k = y - f.u[:, d:] @ beta_pc_k
     rss_k = float(resid_k @ resid_k)
 
     # Residuals of the p single-component regressions, one column each.
@@ -171,13 +176,12 @@ def fit_pcr(data: Dataset, d: int, factors: SvdFactors | None = None) -> PcrEsti
     rss_q = np.sum(resid_q * resid_q, axis=0)
 
     return PcrEstimate(
-        split=split,
         beta_pc_d=beta_pc_d,
         beta_pc_k=beta_pc_k,
         beta_d=beta_d,
         beta_k=beta_k,
-        sigma2_d=rss_d / (n - split.d),
-        sigma2_k=rss_k / (n - split.k),
+        sigma2_d=rss_d / (n - d),
+        sigma2_k=rss_k / (n - (p - d)),
         sigma2_q=rss_q / (n - 1),
         rss_d=rss_d,
     )
@@ -206,7 +210,7 @@ def recover_ols_sigma2(data: Dataset, pcr: PcrEstimate) -> float:
     """
     n, p = data.x.shape
     y_hk_y = float(pcr.beta_pc_k @ pcr.beta_pc_k)
-    return (pcr.sigma2_d * (n - pcr.split.d) - y_hk_y) / (n - p)
+    return (pcr.sigma2_d * (n - pcr.d) - y_hk_y) / (n - p)
 
 
 def sigma2_d_three_forms(
@@ -220,7 +224,7 @@ def sigma2_d_three_forms(
     Both fits must come from ``data``.
     """
     n, p = data.x.shape
-    d, k = pcr.split.d, pcr.split.k
+    d, k = pcr.d, pcr.k
     yty = float(data.y @ data.y)
     omitted_sum = float(np.sum(pcr.sigma2_q[d:]))
     retained_sum = float(np.sum(pcr.sigma2_q[:d]))

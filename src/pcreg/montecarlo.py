@@ -194,7 +194,7 @@ def run_simulation(cfg: SimulationConfig) -> SimulationResult:
     omitted_quad = float(np.sum((f.sigma[d:] * (f.v[:, d:].T @ cfg.beta_true)) ** 2))
 
     sigma2_d_pop = (cfg.sigma2_true * (n - d) + omitted_quad) / (n - d)
-    predicted_cov = gram_pseudo_inverse(f, range(d)) * sigma2_d_pop
+    predicted_cov = gram_pseudo_inverse(f, np.s_[:d]) * sigma2_d_pop
 
     # The rounding of an n-term fit followed by an R-term mean scales with
     # |y|, which is |mu| when the signal dwarfs the noise: (n + R) eps |mu|^2

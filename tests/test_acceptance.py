@@ -90,7 +90,7 @@ def test_criterion_1_exact_identity_suite():
                 gap = beta_additivity_check(ols, pcr)
                 assert gap <= 1e-10 * (1 + np.max(np.abs(ols.beta)))
                 # RSS ledger through the omitted-block hat matrix
-                h_k = hat_matrix(f, pcr.split.omitted)
+                h_k = hat_matrix(f, np.s_[pcr.d :])
                 ledger = ols.rss + float(y @ h_k @ y)
                 assert _rel_ok(pcr.rss_d, ledger)
                 # OLS residual variance recovered from the PCR fit
@@ -140,7 +140,7 @@ def test_criterion_2_hand_oracle_case():
     covs = pcr_covariance(f, ols, pcr)
     for form in (covs.direct, covs.scaled, covs.difference):
         np.testing.assert_allclose(form, np.diag([0.0, 1.25]), atol=1e-12)
-    var_k = gram_pseudo_inverse(f, pcr.split.omitted) * pcr.sigma2_k
+    var_k = gram_pseudo_inverse(f, np.s_[pcr.d :]) * pcr.sigma2_k
     np.testing.assert_allclose(var_k, np.diag([6.5, 0.0]), atol=1e-12)
     report = build_report(f, ols, pcr)
     assert abs(report.bias_sigma2_plugin - (-4.0)) <= 1e-12
@@ -153,7 +153,7 @@ def _exceedance_pattern(data, d):
     ols = fit_ols(data, factors=f)
     pcr = fit_pcr(data, d, factors=f)
     report = build_report(f, ols, pcr)
-    se_k = np.sqrt(np.diag(gram_pseudo_inverse(f, pcr.split.omitted) * pcr.sigma2_k))
+    se_k = np.sqrt(np.diag(gram_pseudo_inverse(f, np.s_[pcr.d :]) * pcr.sigma2_k))
     bold_d = {name for name, flag in zip(data.names, report.exceeds_ols) if flag}
     k_exceeds = se_k > report.se_ols
     return bold_d, k_exceeds, ols, pcr, report
@@ -182,7 +182,7 @@ def test_criterion_3_reference_pattern_real_fixture():
             print(f"\npreprocessing mode {mode!r} reproduces the exceedance pattern")
             se_k = np.sqrt(
                 np.diag(
-                    gram_pseudo_inverse(svd_thin(data.x), pcr.split.omitted)
+                    gram_pseudo_inverse(svd_thin(data.x), np.s_[pcr.d :])
                     * pcr.sigma2_k
                 )
             )
@@ -311,7 +311,7 @@ def test_criterion_6_monotonicity_suite():
                 pcr = fit_pcr(data, d, factors=f)
                 assert pcr.rss_d <= prev_rss + 1e-10 * (1 + prev_rss)
                 assert pcr.rss_d >= ols.rss - 1e-10 * (1 + ols.rss)
-                diag = np.diag(loading_projector(f, pcr.split.retained))
+                diag = np.diag(loading_projector(f, np.s_[: pcr.d]))
                 assert np.all(diag >= prev_diag - 1e-12)
                 prev_rss, prev_diag = pcr.rss_d, diag
             np.testing.assert_allclose(prev_diag, np.ones(p), atol=1e-10)

@@ -1,6 +1,7 @@
 """Tests for CSV ingestion, standardization, and the command surface."""
 
 import contextlib
+import csv
 import dataclasses
 import io
 import json
@@ -26,6 +27,7 @@ from pcreg.cli import (
     render_compare_table,
     render_json,
     standardize,
+    _lines,
 )
 from pcreg.errors import DataFormatError, DegreesOfFreedomError, ValidationError
 from pcreg.model import Dataset, fit_ols
@@ -152,6 +154,21 @@ class TestLoadCsv:
         with pytest.raises(DataFormatError) as excinfo:
             load_csv(path, "y")
         assert str(excinfo.value) == f"{path}: {error}"
+
+    @settings(max_examples=300, deadline=None)
+    @given(text=st.text(alphabet='a1,"\n\x0c ', max_size=30))
+    @example(text='a,"1\n1",a\n')  # a quoted newline stays in its cell
+    @example(text='a,"1')  # an unterminated quote at the end of the text
+    @example(text="a\x0c1\n\n")  # a form feed does not end a line
+    def test_lines_give_the_rows_of_a_stringio(self, text):
+        assert list(csv.reader(_lines(text))) == list(csv.reader(io.StringIO(text)))
+
+    def test_invalid_utf8_exit(self, tmp_path):
+        path = tmp_path / "latin1.csv"
+        path.write_bytes(b"y,a\n1,2\n3,\xff\n")
+        code, out, err = run_main(["fit", "--input", str(path), "--response", "y"])
+        assert code == EXIT_USAGE and out == ""
+        assert "not valid UTF-8" in err and err.count("\n") == 1
 
     def test_too_few_rows_is_dof_error(self, tmp_path):
         path = tmp_path / "s.csv"
@@ -428,6 +445,35 @@ class TestMainExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("pcreg: error: design too large") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("command", ["fit", "compare"])
+    @pytest.mark.parametrize("d", [0, -1, 3])
+    def test_d_outside_1_to_p_exit(self, toy_csv, command, d):
+        code, out, err = run_main([command, "--input", str(toy_csv), "--response", "y",
+                                   "--no-intercept", "--d", str(d)])
+        assert code == EXIT_USAGE and out == ""
+        assert err == ("pcreg: error: retained component count must satisfy 1 <= d <= p; "
+                       f"got d={d} with p=2\n")
+
+    @pytest.mark.parametrize(
+        "case", ["fit-input-directory", "simulate-config-directory", "out-in-missing-directory",
+                 "missing-input"],
+    )
+    def test_unreadable_path_exit(self, toy_csv, tmp_path, case):
+        argv = {
+            "fit-input-directory": ["fit", "--input", str(tmp_path), "--response", "y"],
+            "simulate-config-directory": ["simulate", "--config", str(tmp_path)],
+            "out-in-missing-directory": ["fit", "--input", str(toy_csv), "--response", "y",
+                                         "--no-intercept",
+                                         "--out", str(tmp_path / "missing" / "x.json")],
+            "missing-input": ["fit", "--input", str(tmp_path / "missing.csv"),
+                              "--response", "y"],
+        }[case]
+        code, out, err = run_main(argv)
+        assert code == EXIT_USAGE and out == ""
+        assert err.startswith("pcreg: error: ") and err.count("\n") == 1
+        if case == "missing-input":
+            assert err.endswith("missing.csv: file not found\n")
+
     def test_fit_ols_json(self, toy_csv, capsys):
         code = main(["fit", "--input", str(toy_csv), "--response", "y",
                      "--no-intercept", "--format", "json"])
@@ -585,6 +631,14 @@ class TestSimulate:
         code = main(["simulate", "--config", str(path), "--alert-threshold", "1e-9",
                      "--out", str(tmp_path / "x.txt")])
         assert code == EXIT_ALERT
+
+    @pytest.mark.parametrize("threshold", ["nan", "inf", "-inf", "-1"])
+    def test_bad_alert_threshold_exit(self, tmp_path, threshold):
+        path = write_sim_config(tmp_path)
+        code, out, err = run_main(["simulate", "--config", str(path),
+                                   f"--alert-threshold={threshold}"])
+        assert code == EXIT_USAGE and out == ""
+        assert err.startswith("pcreg: error: --alert-threshold") and err.count("\n") == 1
 
     def test_recorded_dof_rows_do_not_alert(self, tmp_path):
         # signal on the omitted components makes the n-p dof rows deviate

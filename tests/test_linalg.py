@@ -1,4 +1,4 @@
-"""Tests for the SVD and the component-subset operators.
+"""Tests for the SVD, the rank rule and the component operators.
 
 Hand-derived oracle: X = [[1,0],[0,2],[0,0]] has X^T X = diag(1, 4), so
 sigma = (2, 1), v1 = (0,1), v2 = (1,0), u1 = (0,1,0), u2 = (1,0,0).
@@ -13,7 +13,6 @@ from pcreg import fixture_path, linalg
 from pcreg.cli import EXIT_CONVERGENCE, load_csv, main, standardize
 from pcreg.errors import ConvergenceError, RankDeficiencyError, ValidationError
 from pcreg.linalg import (
-    ComponentSplit,
     gram_pseudo_inverse,
     hat_matrix,
     loading_projector,
@@ -126,43 +125,28 @@ class TestSvdThin:
         )
 
 
-class TestComponentSplit:
-    def test_partition(self):
-        split = ComponentSplit(d=3, p=8)
-        assert split.k == 5
-        assert list(split.retained) == [0, 1, 2]
-        assert list(split.omitted) == [3, 4, 5, 6, 7]
-
-    def test_bounds(self):
-        with pytest.raises(ValidationError):
-            ComponentSplit(d=0, p=4)
-        with pytest.raises(ValidationError):
-            ComponentSplit(d=5, p=4)
-
-
 class TestHatMatrix:
     def test_hand_oracle_leading_one(self):
         f = svd_thin(TOY)
-        np.testing.assert_allclose(hat_matrix(f, [0]), np.diag([0.0, 1.0, 0.0]), atol=1e-12)
+        np.testing.assert_allclose(hat_matrix(f, np.s_[:1]), np.diag([0.0, 1.0, 0.0]), atol=1e-12)
 
     def test_all_is_sum_of_blocks(self):
         f = svd_thin(random_matrix(5, 30, 6))
-        full = hat_matrix(f, "all")
+        full = hat_matrix(f, np.s_[:])
         assert abs(np.trace(full) - 6) <= 1e-10
         for d in range(1, 6):
-            split = ComponentSplit(d=d, p=6)
-            h_d = hat_matrix(f, split.retained)
-            h_k = hat_matrix(f, split.omitted)
+            h_d = hat_matrix(f, np.s_[:d])
+            h_k = hat_matrix(f, np.s_[d:])
             np.testing.assert_allclose(h_d + h_k, full, atol=1e-10)
 
     def test_sum_of_singles(self):
         f = svd_thin(random_matrix(8, 25, 5))
-        total = sum(hat_matrix(f, [q]) for q in range(5))
-        np.testing.assert_allclose(total, hat_matrix(f, "all"), atol=1e-10)
+        total = sum(hat_matrix(f, np.s_[q : q + 1]) for q in range(5))
+        np.testing.assert_allclose(total, hat_matrix(f, np.s_[:]), atol=1e-10)
 
     def test_symmetric_idempotent_trace(self):
         f = svd_thin(random_matrix(2, 20, 6))
-        h = hat_matrix(f, [0, 1, 2])
+        h = hat_matrix(f, np.s_[:3])
         np.testing.assert_allclose(h, h.T, atol=1e-12)
         np.testing.assert_allclose(h @ h, h, atol=1e-10)
         assert abs(np.trace(h) - 3) <= 1e-10
@@ -171,62 +155,55 @@ class TestHatMatrix:
         f = svd_thin(np.eye(3))
         e2 = np.zeros((3, 3))
         e2[1, 1] = 1.0
-        np.testing.assert_array_equal(hat_matrix(f, [1]), e2)
+        np.testing.assert_array_equal(hat_matrix(f, np.s_[1:2]), e2)
 
     def test_empty_subset_is_zero(self):
         f = svd_thin(TOY)
-        np.testing.assert_array_equal(hat_matrix(f, []), np.zeros((3, 3)))
-
-    def test_index_bounds(self):
-        f = svd_thin(TOY)
-        with pytest.raises(ValidationError):
-            hat_matrix(f, [2])
-        with pytest.raises(ValidationError):
-            hat_matrix(f, [0, 0])
+        np.testing.assert_array_equal(hat_matrix(f, np.s_[0:0]), np.zeros((3, 3)))
 
 
 class TestGramPseudoInverse:
     def test_hand_oracle(self):
         f = svd_thin(TOY)
         np.testing.assert_allclose(
-            gram_pseudo_inverse(f, [0]), np.diag([0.0, 0.25]), atol=1e-12
+            gram_pseudo_inverse(f, np.s_[:1]), np.diag([0.0, 0.25]), atol=1e-12
         )
         np.testing.assert_allclose(
-            gram_pseudo_inverse(f, "all"), np.diag([1.0, 0.25]), atol=1e-12
+            gram_pseudo_inverse(f, np.s_[:]), np.diag([1.0, 0.25]), atol=1e-12
         )
 
     def test_identity_design_gives_projector(self):
         f = svd_thin(np.eye(4))
-        got = gram_pseudo_inverse(f, [1, 3])
+        got = gram_pseudo_inverse(f, np.s_[1:3])
         expected = np.zeros((4, 4))
-        expected[1, 1] = expected[3, 3] = 1.0
+        expected[1, 1] = expected[2, 2] = 1.0
         np.testing.assert_allclose(got, expected, atol=1e-12)
 
     def test_inverse_of_gram_full_rank(self):
         for seed in range(8):
             x = random_matrix(seed, 30, 5)
             f = svd_thin(x)
-            prod = gram_pseudo_inverse(f, "all") @ (x.T @ x)
+            prod = gram_pseudo_inverse(f, np.s_[:]) @ (x.T @ x)
             np.testing.assert_allclose(prod, np.eye(5), atol=1e-8)
 
     def test_rank_deficiency_names_component(self):
         x = np.column_stack([np.ones(6), np.arange(6.0), np.arange(6.0)])
         f = svd_thin(x)
         with pytest.raises(RankDeficiencyError, match="component"):
-            gram_pseudo_inverse(f, "all")
+            gram_pseudo_inverse(f, np.s_[:])
 
 
 class TestLoadingProjector:
     def test_hand_oracle(self):
         f = svd_thin(TOY)
-        np.testing.assert_allclose(loading_projector(f, [0]), np.diag([0.0, 1.0]), atol=1e-12)
-        np.testing.assert_allclose(loading_projector(f, "all"), np.eye(2), atol=1e-12)
+        np.testing.assert_allclose(loading_projector(f, np.s_[:1]), np.diag([0.0, 1.0]), atol=1e-12)
+        np.testing.assert_allclose(loading_projector(f, np.s_[:]), np.eye(2), atol=1e-12)
 
     def test_diag_monotone_in_d(self):
         f = svd_thin(random_matrix(4, 40, 7))
         prev = np.zeros(7)
         for d in range(1, 8):
-            diag = np.diag(loading_projector(f, range(d)))
+            diag = np.diag(loading_projector(f, np.s_[:d]))
             assert np.all(diag >= prev - 1e-12)
             assert np.all(diag >= -1e-12) and np.all(diag <= 1 + 1e-12)
             prev = diag

@@ -166,11 +166,18 @@ class TestFitPcr:
             assert split.tobytes() == scores.tobytes()
         assert pcr.beta_pc_k.shape == (0,)
 
+    def test_d_and_k_are_the_block_sizes(self):
+        data = random_dataset(2, 20, 8)
+        for d, k in ((3, 5), (8, 0)):
+            pcr = fit_pcr(data, d)
+            assert (pcr.d, pcr.k) == (d, k)
+
     def test_d_bounds(self, toy):
-        with pytest.raises(ValidationError):
-            fit_pcr(toy, 0)
-        with pytest.raises(ValidationError):
-            fit_pcr(toy, 3)
+        # A negative d must not reach the slices, where it would count from the end.
+        for d in (0, -1, 3):
+            with pytest.raises(ValidationError, match=rf"^retained component count must "
+                               rf"satisfy 1 <= d <= p; got d={d} with p=2$"):
+                fit_pcr(toy, d)
 
     def test_beta_d_lies_in_retained_span(self):
         data = random_dataset(4, 30, 6)
@@ -198,7 +205,7 @@ class TestFitPcr:
             pcr = fit_pcr(data, d, factors=f)
             assert pcr.rss_d >= ols.rss - 1e-10 * (1 + ols.rss)
             assert pcr.rss_d <= prev_rss + 1e-10 * (1 + prev_rss)
-            h_k = hat_matrix(f, pcr.split.omitted)
+            h_k = hat_matrix(f, np.s_[pcr.d :])
             ledger = ols.rss + float(y @ h_k @ y)
             assert abs(pcr.rss_d - ledger) <= 1e-10 * (1 + ledger)
             prev_rss = pcr.rss_d
@@ -219,8 +226,8 @@ class TestFitPcr:
         data = random_dataset(11, 35, 5)
         f = svd_thin(data.x)
         y = data.y
-        total = sum(float(y @ hat_matrix(f, [q]) @ y) for q in range(5))
-        full = float(y @ hat_matrix(f, "all") @ y)
+        total = sum(float(y @ hat_matrix(f, np.s_[q : q + 1]) @ y) for q in range(5))
+        full = float(y @ hat_matrix(f, np.s_[:]) @ y)
         assert abs(total - full) <= 1e-10 * (1 + full)
 
 
