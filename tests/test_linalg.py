@@ -18,6 +18,7 @@ from pcreg.linalg import (
     loading_projector,
     svd_thin,
 )
+from pcreg.model import Dataset, fit_pcr
 
 TOY = np.array([[1.0, 0.0], [0.0, 2.0], [0.0, 0.0]])
 
@@ -123,6 +124,17 @@ class TestSvdThin:
         np.testing.assert_allclose(
             f.sigma, np.linalg.svd(x, compute_uv=False), rtol=1e-9, atol=1e-12
         )
+
+
+class TestComponentSplit:
+    # The d-split is the slice pair np.s_[:d], np.s_[d:]; fit_pcr checks d before slicing.
+    def test_bounds(self):
+        x = random_matrix(1, 10, 4)
+        data = Dataset(y=x @ np.ones(4), x=x)
+        with pytest.raises(ValidationError):
+            fit_pcr(data, 0)
+        with pytest.raises(ValidationError):
+            fit_pcr(data, 5)
 
 
 class TestHatMatrix:
