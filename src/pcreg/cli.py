@@ -640,8 +640,15 @@ def _add_data_args(sub: argparse.ArgumentParser, d_required: bool) -> None:
     sub.add_argument("--out", default=None, help="write output to this path instead of stdout")
 
 
+class _Parser(argparse.ArgumentParser):
+    """A usage error is one stderr line and exit 2, like every other failure."""
+
+    def error(self, message: str) -> NoReturn:
+        self.exit(EXIT_USAGE, f"pcreg: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="pcreg",
         description="Principal component regression with variance and bias diagnostics.",
         epilog=_EXIT_HELP,

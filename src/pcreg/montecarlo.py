@@ -11,7 +11,8 @@ between them is part of the output.
 
 Replicate streams come from a counter-based generator (numpy Philox):
 replicate r uses the key ``seed`` with the counter set to ``[0, 0, r, 0]``,
-the state that ``Philox(key=seed).jumped(r)`` reaches, built directly.
+the state that ``Philox(key=seed).jumped(r)`` reaches, from one generator
+per run, seeked per replicate.
 Results depend only on ``(seed, replicate)`` and never on execution
 order; aggregation reduces over replicate-indexed arrays, keeping output
 bits independent of any parallel scheduling of the replicates themselves.
@@ -22,6 +23,7 @@ from __future__ import annotations
 
 import math
 import numbers
+from collections.abc import Callable
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -154,9 +156,28 @@ class TheoryRow:
     asserted: bool = True
 
 
+def _replicate_seeker(seed: int) -> Callable[[int], np.random.Generator]:
+    """One Philox(key=seed) generator and the function that seeks it to a replicate.
+
+    ``seek(r)`` sets the counter to ``[0, 0, r, 0]`` with an emptied buffer
+    and returns the generator, now at the start of replicate r's stream.
+    Each replicate's stream is non-overlapping, 2**128 counter steps apart.
+    """
+    rng = np.random.Generator(np.random.Philox(key=seed))
+    state = rng.bit_generator.state
+    state.update(buffer_pos=4, has_uint32=0, uinteger=0)
+    counter = state["state"]["counter"]
+
+    def seek(index: int) -> np.random.Generator:
+        counter[2] = index
+        rng.bit_generator.state = state
+        return rng
+
+    return seek
+
+
 def _replicate_rng(seed: int, index: int) -> np.random.Generator:
-    # Each replicate gets its own non-overlapping Philox stream, 2**128 counter steps apart.
-    return np.random.Generator(np.random.Philox(key=seed, counter=[0, 0, index, 0]))
+    return _replicate_seeker(seed)(index)
 
 
 @np.errstate(all="ignore")
@@ -164,13 +185,15 @@ def run_simulation(cfg: SimulationConfig) -> SimulationResult:
     """Run the configured replicates and aggregate.
 
     The design is factored and checked for full column rank once
-    (RankDeficiencyError otherwise).  Per replicate r the error vector is
-    drawn from the counter-addressed (seed, r) stream, and only what is
-    aggregated is computed: the retained slopes and the residual sum of
-    squares, by the expressions ``fit_pcr`` uses, so the bits match its
-    fit.  Floating-point warnings are silenced; a non-finite aggregate (a
-    ``sigma2_true``, design or ``beta_true`` so large that the sums
-    overflow) raises ValidationError instead.
+    (RankDeficiencyError otherwise), and one generator is built.  Per
+    replicate r that generator is seeked to the counter-addressed (seed, r)
+    stream and the error vector drawn from it, and only what is aggregated
+    is computed: the retained slopes and the residual sum of squares, by
+    the expressions ``fit_pcr`` uses, so the bits match its fit.  The
+    factor views the loop reads are taken once.  Floating-point warnings
+    are silenced; a non-finite aggregate (a ``sigma2_true``, design or
+    ``beta_true`` so large that the sums overflow) raises ValidationError
+    instead.
     """
     f = checked_factors(cfg.x)
     n, p, d = cfg.n, cfg.p, cfg.d
@@ -180,12 +203,14 @@ def run_simulation(cfg: SimulationConfig) -> SimulationResult:
     reps = cfg.replicates
     rss_d_draws = np.empty(reps)
     beta_d_draws = np.empty((reps, p))
+    seek = _replicate_seeker(cfg.seed)
+    u_t, u_d, v_d, sigma_d = f.u.T, f.u[:, :d], f.v[:, :d], f.sigma[:d]
     for r in range(reps):
-        y = mu + sd * _replicate_rng(cfg.seed, r).standard_normal(n)
-        scores = (f.u.T @ y)[:d]
-        resid = y - f.u[:, :d] @ scores
+        y = mu + sd * seek(r).standard_normal(n)
+        scores = (u_t @ y)[:d]
+        resid = y - u_d @ scores
         rss_d_draws[r] = resid @ resid
-        beta_d_draws[r] = f.v[:, :d] @ (scores / f.sigma[:d])
+        beta_d_draws[r] = v_d @ (scores / sigma_d)
     sigma2_d_draws = rss_d_draws / (n - d)
 
     # Ground-truth decomposition of beta over retained/omitted loadings.

@@ -20,6 +20,7 @@ from pcreg.cli import (
     EXIT_OK,
     EXIT_RANK,
     EXIT_USAGE,
+    build_parser,
     compare_payload,
     load_csv,
     load_simulation_config,
@@ -473,6 +474,35 @@ class TestMainExitCodes:
         assert err.startswith("pcreg: error: ") and err.count("\n") == 1
         if case == "missing-input":
             assert err.endswith("missing.csv: file not found\n")
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["fit", "--input", "x.csv", "--response", "y", "--d", "abc"],
+            ["compare", "--input", "x.csv", "--response", "y"],
+            ["fit", "--input", "x.csv", "--response", "y", "--standardize", "bogus"],
+            ["simulate", "--config", "c.json", "--seed", "1.5"],
+            ["simulate", "--config", "c.json", "--alert-threshold", "abc"],
+            ["bogus"],
+            [],
+        ],
+        ids=["d-abc", "compare-without-d", "standardize-bogus", "seed-1.5",
+             "alert-threshold-abc", "unknown-command", "no-arguments"],
+    )
+    def test_usage_error_is_one_line(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("pcreg: error:") and captured.err.count("\n") == 1
+
+    def test_help_is_the_full_help(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["--help"])
+        assert exc.value.code == EXIT_OK
+        captured = capsys.readouterr()
+        assert captured.out == build_parser().format_help() and captured.err == ""
 
     def test_fit_ols_json(self, toy_csv, capsys):
         code = main(["fit", "--input", str(toy_csv), "--response", "y",

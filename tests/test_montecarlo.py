@@ -16,6 +16,7 @@ from pcreg.montecarlo import (
     MAX_REPLICATES,
     SimulationConfig,
     _replicate_rng,
+    _replicate_seeker,
     adjudicate_rss_dof,
     run_simulation,
     theory_comparison,
@@ -100,6 +101,35 @@ class TestReplicateStreams:
         a, b = _replicate_rng(seed, r), jumped_rng(seed, r)
         assert a.standard_normal(257).tobytes() == b.standard_normal(257).tobytes()
         assert a.integers(0, 2**63, 9).tobytes() == b.integers(0, 2**63, 9).tobytes()
+
+    @pytest.mark.parametrize("seed", [7, 2**128 - 1])
+    def test_seek_from_a_used_generator(self, seed):
+        # A spare 32-bit half and a part-used block of 64-bit words must not
+        # lead the stream the seek lands on.
+        seek = _replicate_seeker(seed)
+        rng = seek(0)
+        for r in (0, 1, 4999):
+            rng.integers(0, 2**32, 3, dtype=np.uint32)
+            rng.random(5)
+            while rng.bit_generator.state["buffer_pos"] == 4:  # stop mid-block
+                rng.random()
+            state = rng.bit_generator.state
+            assert state["has_uint32"] == 1 and state["buffer_pos"] != 4
+            a, b = seek(r), jumped_rng(seed, r)
+            assert a.standard_normal(257).tobytes() == b.standard_normal(257).tobytes()
+            assert a.integers(0, 2**63, 9).tobytes() == b.integers(0, 2**63, 9).tobytes()
+
+    def test_one_philox_per_run(self, monkeypatch):
+        built = []
+        philox = np.random.Philox
+
+        def counting_philox(*args, **kwargs):
+            built.append(kwargs)
+            return philox(*args, **kwargs)
+
+        monkeypatch.setattr(np.random, "Philox", counting_philox)
+        run_simulation(config(replicates=200))
+        assert len(built) == 1
 
     @pytest.mark.parametrize(
         "cfg",
