@@ -44,7 +44,6 @@ from .errors import (
     RankDeficiencyError,
     ValidationError,
 )
-from .linalg import svd_thin
 from .model import (
     Dataset,
     beta_additivity_check,
@@ -252,8 +251,7 @@ def _transform_dict(record: TransformRecord) -> dict:
 
 def fit_payload(data: Dataset, d: int | None, record: TransformRecord) -> dict:
     """Single-model fit: OLS when d is None, else the component regression."""
-    f = svd_thin(data.x)
-    ols = fit_ols(data, factors=f)
+    ols = fit_ols(data)
     config = {
         "n": data.n,
         "p": data.p,
@@ -273,8 +271,8 @@ def fit_payload(data: Dataset, d: int | None, record: TransformRecord) -> dict:
             "standard_errors": {"beta": np.sqrt(np.diag(ols.cov)).tolist()},
             "covariances": {"beta": ols.cov.tolist()},
         }
-    pcr = fit_pcr(data, d, factors=f)
-    covs = pcr_covariance(f, ols, pcr)
+    pcr = fit_pcr(data, d)
+    covs = pcr_covariance(data.factors, ols, pcr)
     return {
         "config": config,
         "estimates": {
@@ -293,10 +291,9 @@ def fit_payload(data: Dataset, d: int | None, record: TransformRecord) -> dict:
 
 def compare_payload(data: Dataset, d: int, record: TransformRecord) -> dict:
     """Full OLS / retained / omitted comparison with identity residuals."""
-    f = svd_thin(data.x)
-    ols = fit_ols(data, factors=f)
-    pcr = fit_pcr(data, d, factors=f)
-    report = build_report(f, ols, pcr)
+    ols = fit_ols(data)
+    pcr = fit_pcr(data, d)
+    report = build_report(data.factors, ols, pcr)
     covs = report.covs
     se_k = np.sqrt(np.diag(covs.omitted))
     exceeds_k = se_k > report.se_ols
@@ -311,10 +308,9 @@ def compare_payload(data: Dataset, d: int, record: TransformRecord) -> dict:
         "covariance_agreement": covariance_agreement(covs),
         "bias_identity": abs(report.bias_sigma2_plugin - (pcr.sigma2_d - ols.sigma2)),
     }
-    if 1 <= d < data.p and not covs.degenerate:
-        residuals["variance_recomposition"] = variance_recomposition_check(ols, pcr, covs)
-    else:
-        residuals["variance_recomposition"] = None
+    residuals["variance_recomposition"] = (
+        None if covs.difference is None else variance_recomposition_check(ols, pcr, covs)
+    )
 
     return {
         "config": {
@@ -641,10 +637,11 @@ def _add_data_args(sub: argparse.ArgumentParser, d_required: bool) -> None:
 
 
 class _Parser(argparse.ArgumentParser):
-    """A usage error is one stderr line and exit 2, like every other failure."""
+    """A usage error is a ValidationError, which ``main`` reports like every
+    other failure: one stderr line and exit 2."""
 
     def error(self, message: str) -> NoReturn:
-        self.exit(EXIT_USAGE, f"pcreg: error: {message}\n")
+        raise ValidationError(message)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -700,9 +697,8 @@ def _run_simulate(args: argparse.Namespace) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         # Arithmetic that leaves the double range ends as one error line,
         # not as numpy warnings next to an output full of infinities.
         with np.errstate(over="raise", divide="raise", invalid="raise"):

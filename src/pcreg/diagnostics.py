@@ -33,7 +33,8 @@ class CovarianceSet:
     two are verification artifacts and are dropped (None) on the
     degenerate paths: ``scaled`` requires a nonzero OLS residual variance,
     ``difference`` additionally requires d < p and a nonzero omitted-set
-    variance.
+    variance.  The variance recomposition is defined exactly where
+    ``difference`` is.
     """
 
     direct: np.ndarray
@@ -116,13 +117,15 @@ def variance_recomposition_check(
 
     Checks cov_ols = var(beta_d) sigma2/sigma2_d + var(beta_k) sigma2/sigma2_k
     with both variances in their direct forms, ``covs.direct`` and
-    ``covs.omitted``.  Requires 1 <= d < p and nonzero residual variances.
-    Contract: <= 1e-8 * (1 + max diagonal).
+    ``covs.omitted``.  Defined exactly where ``covs.difference`` is: d < p
+    and nonzero OLS and omitted-set residual variances, which bound
+    sigma2_d >= sigma2 (n - p)/(n - d) away from zero; ValidationError
+    otherwise.  Contract: <= 1e-8 * (1 + max diagonal).
     """
-    if pcr.k == 0:
-        raise ValidationError("recomposition needs at least one omitted component (d < p)")
-    if pcr.sigma2_d < RATIO_GUARD or pcr.sigma2_k < RATIO_GUARD:
-        raise ValidationError("recomposition undefined for a zero residual variance")
+    if covs.difference is None:
+        raise ValidationError(
+            "recomposition needs d < p and nonzero OLS and omitted-set residual variances"
+        )
     rebuilt = covs.direct * (ols.sigma2 / pcr.sigma2_d) + covs.omitted * (ols.sigma2 / pcr.sigma2_k)
     return float(np.max(np.abs(ols.cov - rebuilt)))
 

@@ -2,13 +2,16 @@
 
 Slope vectors, residual variances, and the exact algebraic identities
 tying the two fits together.  All fitting goes through the SVD route of
-:mod:`pcreg.linalg`; every function is pure, so fits on distinct datasets
-can run concurrently without shared state.
+:mod:`pcreg.linalg`.  A ``Dataset`` factors itself once: its rank-checked
+thin SVD and the scores ``U^T y`` are computed on first use and cached on
+the dataset, whose arrays are read-only, so every fit on it reads the same
+factors and scores and the cache cannot go stale.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -24,7 +27,8 @@ class Dataset:
     ``intercept_included`` accordingly so downstream standardization can
     exempt it.  Construction validates that all values are finite, that
     n > p, and (when flagged) that exactly one all-ones column exists and
-    sits first.
+    sits first.  ``x`` and ``y`` are read-only copies of the inputs, so
+    ``factors`` and ``scores``, computed on first use, stay theirs.
     """
 
     y: np.ndarray
@@ -58,6 +62,8 @@ class Dataset:
                 raise ValidationError(
                     "intercept_included requires exactly one all-ones column, in position 0"
                 )
+        x.setflags(write=False)
+        y.setflags(write=False)
         object.__setattr__(self, "x", x)
         object.__setattr__(self, "y", y)
         object.__setattr__(self, "names", names)
@@ -69,6 +75,19 @@ class Dataset:
     @property
     def p(self) -> int:
         return self.x.shape[1]
+
+    @cached_property
+    def factors(self) -> SvdFactors:
+        """Thin SVD of ``x``; RankDeficiencyError, on every access, unless it
+        has full column rank."""
+        return checked_factors(self.x)
+
+    @cached_property
+    def scores(self) -> np.ndarray:
+        """``U^T y``, the projection of y on every component (read-only)."""
+        scores = self.factors.u.T @ self.y
+        scores.setflags(write=False)
+        return scores
 
 
 @dataclass(frozen=True)
@@ -114,27 +133,24 @@ class PcrEstimate:
         return self.beta_pc_k.size
 
 
-def checked_factors(x: np.ndarray, factors: SvdFactors | None = None) -> SvdFactors:
-    """Factors of the design ``x`` (``factors`` if given), which must have full column rank."""
-    f = factors if factors is not None else svd_thin(x)
-    if f.u.shape != x.shape:
-        raise ValidationError(f"factors shape {f.u.shape} does not match design shape {x.shape}")
+def checked_factors(x: np.ndarray) -> SvdFactors:
+    """Thin SVD of the design ``x``, which must have full column rank."""
+    f = svd_thin(x)
     check_rank(f, np.s_[:])
     return f
 
 
-def fit_ols(data: Dataset, factors: SvdFactors | None = None) -> OlsEstimate:
+def fit_ols(data: Dataset) -> OlsEstimate:
     """Fit ordinary least squares through the SVD route.
 
     ``beta = V Sigma^-1 U^T y``, residual variance ``rss / (n - p)``, and
-    covariance ``(X^T X)^-1 sigma2`` via the Gram pseudo-inverse.  Requires
-    full column rank; pass precomputed ``factors`` to skip the SVD.  The
+    covariance ``(X^T X)^-1 sigma2`` via the Gram pseudo-inverse, from the
+    dataset's factors and scores.  Requires full column rank.  The
     residual is ``y - U U^T y``, the projection ``fit_pcr`` uses, so at
     d = p the two fits agree bit for bit.
     """
-    f = checked_factors(data.x, factors)
+    f, scores = data.factors, data.scores
     n, p = data.x.shape
-    scores = f.u.T @ data.y
     beta = f.v @ (scores / f.sigma)
     resid = data.y - f.u @ scores
     rss = float(resid @ resid)
@@ -144,7 +160,7 @@ def fit_ols(data: Dataset, factors: SvdFactors | None = None) -> OlsEstimate:
     return OlsEstimate(beta=beta, sigma2=sigma2, cov=cov, rss=rss, dof=dof)
 
 
-def fit_pcr(data: Dataset, d: int, factors: SvdFactors | None = None) -> PcrEstimate:
+def fit_pcr(data: Dataset, d: int) -> PcrEstimate:
     """Fit the principal component regression that retains the d leading components.
 
     Returns the scores ``U_d^T y`` and ``U_k^T y``, both slope blocks, the
@@ -157,10 +173,9 @@ def fit_pcr(data: Dataset, d: int, factors: SvdFactors | None = None) -> PcrEsti
         raise ValidationError(
             f"retained component count must satisfy 1 <= d <= p; got d={d} with p={p}"
         )
-    f = checked_factors(data.x, factors)
+    f, scores = data.factors, data.scores
     y = data.y
 
-    scores = f.u.T @ y
     beta_pc_d = scores[:d]
     beta_pc_k = scores[d:]
     beta_d = f.v[:, :d] @ (beta_pc_d / f.sigma[:d])

@@ -176,10 +176,6 @@ def _replicate_seeker(seed: int) -> Callable[[int], np.random.Generator]:
     return seek
 
 
-def _replicate_rng(seed: int, index: int) -> np.random.Generator:
-    return _replicate_seeker(seed)(index)
-
-
 @np.errstate(all="ignore")
 def run_simulation(cfg: SimulationConfig) -> SimulationResult:
     """Run the configured replicates and aggregate.

@@ -80,12 +80,12 @@ def test_criterion_1_exact_identity_suite():
             x = rng.standard_normal((n, p)) * rng.uniform(0.2, 5.0)
             y = x @ rng.standard_normal(p) + rng.standard_normal(n)
             data = Dataset(y=y, x=x)
-            f = svd_thin(x)
-            ols = fit_ols(data, factors=f)
+            f = data.factors
+            ols = fit_ols(data)
             gram = x.T @ x
             instances += 1
             for d in range(1, p + 1):
-                pcr = fit_pcr(data, d, factors=f)
+                pcr = fit_pcr(data, d)
                 # additive slope decomposition
                 gap = beta_additivity_check(ols, pcr)
                 assert gap <= 1e-10 * (1 + np.max(np.abs(ols.beta)))
@@ -119,9 +119,9 @@ def test_criterion_1_exact_identity_suite():
 def test_criterion_2_hand_oracle_case():
     """The worked 3x2 example reproduces every stated number to 1e-12."""
     data = Dataset(y=TOY_Y, x=TOY_X)
-    f = svd_thin(data.x)
-    ols = fit_ols(data, factors=f)
-    pcr = fit_pcr(data, 1, factors=f)
+    f = data.factors
+    ols = fit_ols(data)
+    pcr = fit_pcr(data, 1)
 
     np.testing.assert_allclose(ols.beta, [1.0, 1.0], atol=1e-12)
     assert abs(ols.sigma2 - 9.0) <= 1e-12
@@ -149,9 +149,9 @@ def test_criterion_2_hand_oracle_case():
 
 
 def _exceedance_pattern(data, d):
-    f = svd_thin(data.x)
-    ols = fit_ols(data, factors=f)
-    pcr = fit_pcr(data, d, factors=f)
+    f = data.factors
+    ols = fit_ols(data)
+    pcr = fit_pcr(data, d)
     report = build_report(f, ols, pcr)
     se_k = np.sqrt(np.diag(gram_pseudo_inverse(f, np.s_[pcr.d :]) * pcr.sigma2_k))
     bold_d = {name for name, flag in zip(data.names, report.exceeds_ols) if flag}
@@ -303,12 +303,12 @@ def test_criterion_6_monotonicity_suite():
             x = rng.standard_normal((n, p))
             y = x @ rng.standard_normal(p) + rng.standard_normal(n)
             data = Dataset(y=y, x=x)
-            f = svd_thin(x)
-            ols = fit_ols(data, factors=f)
+            f = data.factors
+            ols = fit_ols(data)
             prev_rss = np.inf
             prev_diag = np.zeros(p)
             for d in range(1, p + 1):
-                pcr = fit_pcr(data, d, factors=f)
+                pcr = fit_pcr(data, d)
                 assert pcr.rss_d <= prev_rss + 1e-10 * (1 + prev_rss)
                 assert pcr.rss_d >= ols.rss - 1e-10 * (1 + ols.rss)
                 diag = np.diag(loading_projector(f, np.s_[: pcr.d]))

@@ -7,12 +7,14 @@ import io
 import json
 import math
 import re
+from functools import cached_property
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import pcreg
 from pcreg import fixture_path
 from pcreg.cli import (
     EXIT_ALERT,
@@ -22,6 +24,7 @@ from pcreg.cli import (
     EXIT_USAGE,
     build_parser,
     compare_payload,
+    fit_payload,
     load_csv,
     load_simulation_config,
     main,
@@ -368,6 +371,58 @@ class TestRenderJson:
         assert render_json(payload) == want + "\n"
 
 
+PCREG_MODULES = (pcreg, pcreg.cli, pcreg.linalg, pcreg.model, pcreg.diagnostics,
+                 pcreg.montecarlo)
+
+
+class TestFactorOnce:
+    """A fit or a compare factors the design, checks its rank and projects y once."""
+
+    @pytest.fixture
+    def counts(self, monkeypatch):
+        counts = {"svd_thin": 0, "design rank check": 0, "covariance rank guard": 0,
+                  "scores": 0}
+
+        def count(name, key, namespaces, full_columns_only=False):
+            original = getattr(pcreg.linalg, name)
+
+            def counted(*args):
+                if not full_columns_only or args[1] == np.s_[:]:
+                    counts[key] += 1
+                return original(*args)
+
+            for module in namespaces:
+                if getattr(module, name, None) is original:
+                    monkeypatch.setattr(module, name, counted)
+
+        count("svd_thin", "svd_thin", PCREG_MODULES)
+        # The design's full-rank check runs in the model layer (checked_factors);
+        # gram_pseudo_inverse keeps its own guard on the columns it inverts.
+        count("check_rank", "design rank check",
+              [m for m in PCREG_MODULES if m is not pcreg.linalg], full_columns_only=True)
+        count("check_rank", "covariance rank guard", [pcreg.linalg], full_columns_only=True)
+        scores = Dataset.__dict__["scores"].func
+
+        def counted_scores(data):
+            counts["scores"] += 1
+            return scores(data)
+
+        prop = cached_property(counted_scores)
+        prop.__set_name__(Dataset, "scores")
+        monkeypatch.setattr(Dataset, "scores", prop)
+        return counts
+
+    @pytest.mark.parametrize("payload_fn, d", [(compare_payload, 2), (fit_payload, None),
+                                               (fit_payload, 2)],
+                             ids=["compare", "fit-ols", "fit-pcr"])
+    def test_one_svd_one_rank_check_one_projection(self, counts, payload_fn, d):
+        data, record = standardize(load_csv(fixture_path(), "cost"), "zscore")
+        payload_fn(data, d, record)
+        # The guard is gram_pseudo_inverse's check of the OLS covariance.
+        assert counts == {"svd_thin": 1, "design rank check": 1, "covariance rank guard": 1,
+                          "scores": 1}
+
+
 class TestMainExitCodes:
     def test_compare_ok(self, toy_csv, tmp_path, capsys):
         out = tmp_path / "o.txt"
@@ -391,6 +446,30 @@ class TestMainExitCodes:
         code = main(["compare", "--input", str(path), "--response", "y",
                      "--d", "1", "--no-intercept"])
         assert code == EXIT_RANK
+
+    def test_recomposition_where_sigma2_d_is_below_the_guard(self, tmp_path):
+        # sigma2 = 1.21e-300 clears the ratio guard and sigma2_d = 9.41e-301 does
+        # not; the recomposition is still defined, since sigma2_d >= sigma2 (n-p)/(n-d).
+        rng = np.random.default_rng(0)
+        x = rng.standard_normal((10, 3))
+        e = rng.standard_normal(10)
+        q, _ = np.linalg.qr(x)
+        e -= q @ (q.T @ e)
+        u1 = np.linalg.svd(x, full_matrices=False)[0][:, 0]
+        y = 1e-140 * u1 + e / np.linalg.norm(e) * 1.1e-150 * math.sqrt(7)
+        path = tmp_path / "tiny.csv"
+        path.write_text("y,a,b,c\n" + "".join(
+            ",".join(map(repr, (float(v) for v in (yi, *row)))) + "\n"
+            for yi, row in zip(y, x)), encoding="utf-8")
+        code, out, err = run_main(["compare", "--input", str(path), "--response", "y",
+                                   "--d", "1", "--no-intercept", "--format", "json"])
+        assert (code, err) == (EXIT_OK, "")
+        payload = json.loads(out)
+        sigma2 = payload["estimates"]["sigma2"]
+        assert sigma2["ols"] >= 1e-300 > sigma2["pcr_d"]
+        ols_cov = np.array(payload["covariances"]["ols"])
+        gap = payload["residuals"]["variance_recomposition"]
+        assert gap is not None and gap <= 1e-8 * (1 + np.max(np.diag(ols_cov)))
 
     def test_dof_error_exit(self, tmp_path, capsys):
         path = tmp_path / "dof.csv"
@@ -490,9 +569,7 @@ class TestMainExitCodes:
              "alert-threshold-abc", "unknown-command", "no-arguments"],
     )
     def test_usage_error_is_one_line(self, argv, capsys):
-        with pytest.raises(SystemExit) as exc:
-            main(argv)
-        assert exc.value.code == EXIT_USAGE
+        assert main(argv) == EXIT_USAGE
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("pcreg: error:") and captured.err.count("\n") == 1

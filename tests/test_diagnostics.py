@@ -28,8 +28,8 @@ TOY_Y = np.array([1.0, 2.0, 3.0])
 @pytest.fixture
 def toy_fits():
     data = Dataset(y=TOY_Y, x=TOY_X)
-    f = svd_thin(data.x)
-    return f, fit_ols(data, factors=f), fit_pcr(data, 1, factors=f)
+    f = data.factors
+    return f, fit_ols(data), fit_pcr(data, 1)
 
 
 def random_fits(seed, n, p, d, scale=1.0):
@@ -37,8 +37,8 @@ def random_fits(seed, n, p, d, scale=1.0):
     x = rng.standard_normal((n, p)) * scale
     y = x @ rng.standard_normal(p) + rng.standard_normal(n)
     data = Dataset(y=y, x=x)
-    f = svd_thin(data.x)
-    return data, f, fit_ols(data, factors=f), fit_pcr(data, d, factors=f)
+    f = data.factors
+    return data, f, fit_ols(data), fit_pcr(data, d)
 
 
 class TestPcrCovariance:
@@ -76,8 +76,8 @@ class TestPcrCovariance:
         rng = np.random.default_rng(5)
         x = rng.standard_normal((15, 3))
         data = Dataset(y=np.zeros(15), x=x)
-        f = svd_thin(data.x)
-        ols, pcr = fit_ols(data, factors=f), fit_pcr(data, 2, factors=f)
+        f = data.factors
+        ols, pcr = fit_ols(data), fit_pcr(data, 2)
         covs = pcr_covariance(f, ols, pcr)
         assert covs.degenerate
         assert covs.scaled is None and covs.difference is None
@@ -144,7 +144,7 @@ class TestBuildReport:
         data, f, ols, _ = random_fits(4, 40, 6, d=1)
         prev = np.zeros(6)
         for d in range(1, 7):
-            report = build_report(f, ols, fit_pcr(data, d, factors=f))
+            report = build_report(f, ols, fit_pcr(data, d))
             assert np.all(report.loading_diag >= prev - 1e-12)
             prev = report.loading_diag
         np.testing.assert_allclose(prev, np.ones(6), atol=1e-10)
@@ -153,8 +153,8 @@ class TestBuildReport:
         rng = np.random.default_rng(6)
         x = rng.standard_normal((12, 3))
         data = Dataset(y=np.zeros(12), x=x)
-        f = svd_thin(data.x)
-        report = build_report(f, fit_ols(data, factors=f), fit_pcr(data, 2, factors=f))
+        f = data.factors
+        report = build_report(f, fit_ols(data), fit_pcr(data, 2))
         assert report.degenerate
         assert np.isnan(report.inflation_ratio)
 
@@ -167,7 +167,7 @@ class TestBuildReport:
         f = svd_thin(x)
         y = f.u[:, 0] * 50.0 + rng.standard_normal(200)
         data = Dataset(y=y, x=x)
-        ols, pcr = fit_ols(data, factors=f), fit_pcr(data, 1, factors=f)
+        ols, pcr = fit_ols(data), fit_pcr(data, 1)
         report = build_report(f, ols, pcr)
         assert pcr.rss_d >= ols.rss
         assert report.inflation_ratio < 1.0

@@ -16,7 +16,7 @@ from pcreg.errors import (
     RankDeficiencyError,
     ValidationError,
 )
-from pcreg.linalg import hat_matrix, svd_thin
+from pcreg.linalg import hat_matrix
 from pcreg.model import (
     Dataset,
     beta_additivity_check,
@@ -57,6 +57,28 @@ class TestDataset:
         x[0, 0] = np.inf
         with pytest.raises(ValidationError):
             Dataset(y=np.ones(5), x=x)
+
+    def test_arrays_are_read_only(self):
+        x, y = np.eye(4, 2), np.arange(4.0)
+        data = Dataset(y=y, x=x)
+        for array in (data.x, data.y, data.scores):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 1.0
+        x[0, 0] = y[0] = 5.0  # the caller's arrays stay theirs
+        assert data.x[0, 0] == 1.0 and data.y[0] == 0.0
+
+    def test_factors_and_scores_are_computed_once(self):
+        data = random_dataset(1, 12, 3)
+        assert data.factors is data.factors and data.scores is data.scores
+        assert data.scores.tobytes() == (data.factors.u.T @ data.y).tobytes()
+
+    def test_rank_deficiency_raised_on_every_fit(self):
+        x = np.column_stack([np.ones(8), np.arange(8.0), 2 * np.arange(8.0)])
+        data = Dataset(y=np.arange(8.0) ** 2, x=x)
+        for fit in (lambda: fit_ols(data), lambda: fit_pcr(data, 1), lambda: fit_ols(data),
+                    lambda: fit_pcr(data, 3)):
+            with pytest.raises(RankDeficiencyError, match="near-zero"):
+                fit()
 
     def test_intercept_validation(self):
         x = np.column_stack([np.ones(5), np.arange(5.0)])
@@ -127,12 +149,12 @@ class TestFitOls:
         data = Dataset(y=x @ rng.standard_normal(4) + rng.standard_normal(30), x=x)
         c = 10.0**exponent
         scaled = Dataset(y=data.y, x=data.x * c)
-        f0, f = svd_thin(data.x), svd_thin(scaled.x)
+        f0, f = data.factors, scaled.factors
         np.testing.assert_allclose(f.sigma, f0.sigma * c, rtol=1e-14)
         # The covariance (X^T X)^-1 sigma2 scales as c^-2 and leaves the
         # double range at the ends; only the slopes and sigma2 are compared.
         with np.errstate(all="ignore"):
-            ols0, ols = fit_ols(data, factors=f0), fit_ols(scaled, factors=f)
+            ols0, ols = fit_ols(data), fit_ols(scaled)
         np.testing.assert_allclose(ols.beta * c, ols0.beta, rtol=1e-12)
         assert abs(ols.sigma2 - ols0.sigma2) <= 1e-12 * ols0.sigma2
 
@@ -158,10 +180,10 @@ class TestFitPcr:
 
     def test_scores_split_the_projection(self):
         data = random_dataset(8, 30, 5)
-        f = svd_thin(data.x)
+        f = data.factors
         scores = f.u.T @ data.y
         for d in range(1, 6):
-            pcr = fit_pcr(data, d, factors=f)
+            pcr = fit_pcr(data, d)
             split = np.concatenate([pcr.beta_pc_d, pcr.beta_pc_k])
             assert split.tobytes() == scores.tobytes()
         assert pcr.beta_pc_k.shape == (0,)
@@ -181,28 +203,28 @@ class TestFitPcr:
 
     def test_beta_d_lies_in_retained_span(self):
         data = random_dataset(4, 30, 6)
-        f = svd_thin(data.x)
+        f = data.factors
         for d in range(1, 6):
-            pcr = fit_pcr(data, d, factors=f)
+            pcr = fit_pcr(data, d)
             assert np.max(np.abs(f.v[:, d:].T @ pcr.beta_d)) <= 1e-10
             assert np.max(np.abs(f.v[:, :d].T @ pcr.beta_k)) <= 1e-10
 
     def test_orthogonal_split_prediction(self):
         data = random_dataset(5, 30, 5)
-        f = svd_thin(data.x)
+        f = data.factors
         for d in range(1, 5):
-            pcr = fit_pcr(data, d, factors=f)
+            pcr = fit_pcr(data, d)
             x_d = f.u[:, :d] @ np.diag(f.sigma[:d]) @ f.v[:, :d].T
             np.testing.assert_allclose(data.x @ pcr.beta_d, x_d @ pcr.beta_d, atol=1e-10)
 
     def test_rss_ledger_and_monotonicity(self):
         data = random_dataset(6, 50, 8)
-        f = svd_thin(data.x)
-        ols = fit_ols(data, factors=f)
+        f = data.factors
+        ols = fit_ols(data)
         y = data.y
         prev_rss = np.inf
         for d in range(1, 9):
-            pcr = fit_pcr(data, d, factors=f)
+            pcr = fit_pcr(data, d)
             assert pcr.rss_d >= ols.rss - 1e-10 * (1 + ols.rss)
             assert pcr.rss_d <= prev_rss + 1e-10 * (1 + prev_rss)
             h_k = hat_matrix(f, np.s_[pcr.d :])
@@ -212,19 +234,19 @@ class TestFitPcr:
 
     def test_plugin_residual_variance_ledger(self):
         data = random_dataset(9, 40, 6)
-        f = svd_thin(data.x)
-        ols = fit_ols(data, factors=f)
+        f = data.factors
+        ols = fit_ols(data)
         gram = data.x.T @ data.x
         n, p = data.x.shape
         for d in range(1, 7):
-            pcr = fit_pcr(data, d, factors=f)
+            pcr = fit_pcr(data, d)
             lhs = pcr.sigma2_d * (n - d)
             rhs = ols.sigma2 * (n - p) + float(pcr.beta_k @ gram @ pcr.beta_k)
             assert abs(lhs - rhs) <= 1e-10 * (1 + abs(rhs))
 
     def test_per_component_quadratic_forms_sum(self):
         data = random_dataset(11, 35, 5)
-        f = svd_thin(data.x)
+        f = data.factors
         y = data.y
         total = sum(float(y @ hat_matrix(f, np.s_[q : q + 1]) @ y) for q in range(5))
         full = float(y @ hat_matrix(f, np.s_[:]) @ y)

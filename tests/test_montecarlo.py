@@ -15,7 +15,6 @@ from pcreg.model import Dataset, fit_pcr
 from pcreg.montecarlo import (
     MAX_REPLICATES,
     SimulationConfig,
-    _replicate_rng,
     _replicate_seeker,
     adjudicate_rss_dof,
     run_simulation,
@@ -71,12 +70,11 @@ def jumped_rng(seed, r):
 
 def reference_aggregates(cfg):
     """The replicate loop through Dataset and fit_pcr, on jumped Philox streams."""
-    f = svd_thin(cfg.x)
     mu = cfg.x @ cfg.beta_true
     sd = math.sqrt(cfg.sigma2_true)
     fits = [
         fit_pcr(Dataset(y=mu + sd * jumped_rng(cfg.seed, r).standard_normal(cfg.n), x=cfg.x),
-                cfg.d, factors=f)
+                cfg.d)
         for r in range(cfg.replicates)
     ]
     sigma2 = np.array([fit.sigma2_d for fit in fits])
@@ -98,7 +96,7 @@ class TestReplicateStreams:
     @pytest.mark.parametrize("seed", [7, 2**128 - 1])
     @pytest.mark.parametrize("r", [0, 1, 4999])
     def test_counter_stream_is_the_jumped_stream(self, seed, r):
-        a, b = _replicate_rng(seed, r), jumped_rng(seed, r)
+        a, b = _replicate_seeker(seed)(r), jumped_rng(seed, r)
         assert a.standard_normal(257).tobytes() == b.standard_normal(257).tobytes()
         assert a.integers(0, 2**63, 9).tobytes() == b.integers(0, 2**63, 9).tobytes()
 
