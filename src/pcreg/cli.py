@@ -19,12 +19,11 @@ from __future__ import annotations
 
 import argparse
 import csv
-import itertools
 import json
 import math
 import sys
 from dataclasses import dataclass
-from functools import partial
+from functools import cache, partial
 from pathlib import Path
 from typing import NoReturn
 
@@ -96,9 +95,13 @@ def load_csv(path: str | Path, response: str, add_intercept: bool = True) -> Dat
     """Read a header-row CSV into a Dataset.
 
     Cells must parse as finite numbers with Python's ``float()`` ('.'
-    radix, ',' delimiter); the first bad row or cell in row-major order is
-    the one reported.  A UTF-8 byte-order mark before the header and
-    blank lines at the end of the file are ignored.
+    radix, ',' delimiter) and read bit for bit as ``float()`` reads them.
+    A UTF-8 byte-order mark before the header and blank lines at the end
+    of the file are ignored.  A data block of plain numbers is read by
+    numpy's C reader (``_numeric_table``); every other text goes through
+    ``csv.reader`` and ``float()`` cell by cell, the only path that
+    reports errors: the first bad row or cell in row-major order, named
+    by the physical line it ends on.
     The response column is excluded from the design; remaining columns
     keep file order, with an all-ones Intercept column prepended when
     ``add_intercept`` is set.
@@ -111,12 +114,12 @@ def load_csv(path: str | Path, response: str, add_intercept: bool = True) -> Dat
     except UnicodeDecodeError as exc:
         raise DataFormatError(f"{path}: not valid UTF-8: {exc}") from None
 
-    rows = list(csv.reader(_lines(text)))
-    while rows and not rows[-1]:
-        rows.pop()
-    if not rows:
-        raise DataFormatError(f"{path}: empty file (line 1: header row required)")
-    header = [cell.strip() for cell in rows[0]]
+    table = _numeric_table(text)
+    if table is None:
+        header, rows = _csv_rows(path, text)
+    else:
+        header, values = table
+    header = [cell.strip() for cell in header]
     if any(not name for name in header):
         raise DataFormatError(f"{path}: line 1: blank column name in header")
     if len(set(header)) != len(header):
@@ -126,22 +129,10 @@ def load_csv(path: str | Path, response: str, add_intercept: bool = True) -> Dat
         raise DataFormatError(
             f"{path}: response column {response!r} not in header {header}"
         )
-    if len(rows) == 1:
-        raise DataFormatError(f"{path}: no data rows after the header")
+    if table is None:
+        values = _cell_values(path, header, rows)
 
-    # Cells go straight into the array, so no float object outlives its
-    # conversion.  Any failure rescans cell by cell for the message.
     ncol = len(header)
-    cells = map(float, itertools.chain.from_iterable(rows[1:]))
-    try:
-        values = np.fromiter(cells, float, count=(len(rows) - 1) * ncol)
-        valid = set(map(len, rows[1:])) == {ncol} and np.isfinite(values).all()
-    except ValueError:  # a cell float() rejects, or too few cells
-        valid = False
-    if not valid:
-        _raise_first_bad_cell(path, header, rows)
-    values = values.reshape(-1, ncol)
-
     resp_idx = header.index(response)
     y = values[:, resp_idx]
     keep = [j for j in range(ncol) if j != resp_idx]
@@ -151,6 +142,46 @@ def load_csv(path: str | Path, response: str, add_intercept: bool = True) -> Dat
         x = np.column_stack([np.ones(x.shape[0]), x])
         names = ["Intercept"] + names
     return Dataset(y=y, x=x, names=tuple(names), intercept_included=add_intercept)
+
+
+# The bytes of a data block that numpy's reader may take: with these alone,
+# every line is one csv row and every cell reads as float() reads it.
+_NUMBER_BYTES = b"0123456789.eE+-, \t\n"
+
+
+def _numeric_table(text: str) -> tuple[list[str], np.ndarray] | None:
+    r"""The header cells and the values of ``text``, when numpy's C reader
+    reads its data block exactly as ``csv.reader`` and ``float()`` do;
+    otherwise None.
+
+    ``np.loadtxt`` converts each cell with the ``PyOS_string_to_double``
+    that ``float()`` calls, but it skips inner blank lines, ends a row at
+    a bare "\r" and strips "\x1c"-"\x1f" as whitespace, and it rejects
+    quoted cells, "_" digit separators and non-ASCII digits.  So the data
+    block is read here only if it holds nothing but ``_NUMBER_BYTES``, no
+    line is longer than csv's field limit, and the result has one row per
+    line, one column per header cell and only finite values.  Every other
+    text, malformed or not, is left to ``_csv_rows`` and ``_cell_values``.
+    """
+    head, _, body = text.partition("\n")
+    # A quote in the header may open a cell that runs on into later lines.
+    if '"' in head or body.encode().translate(None, _NUMBER_BYTES):
+        return None
+    lines = body.split("\n")
+    while lines and not lines[-1]:
+        lines.pop()
+    if not lines or max(map(len, lines)) > csv.field_size_limit():
+        return None
+    # The last line is not blank, so np.loadtxt reads a row from it or
+    # fails; it cannot warn "input contained no data".
+    try:
+        header = next(csv.reader([head]))
+        values = np.loadtxt(lines, delimiter=",", comments=None, dtype=float, ndmin=2)
+    except (csv.Error, ValueError):
+        return None
+    if values.shape != (len(lines), len(header)) or not np.isfinite(values).all():
+        return None
+    return header, values
 
 
 def _lines(text: str):
@@ -167,15 +198,42 @@ def _lines(text: str):
         yield last
 
 
-def _raise_first_bad_cell(path: Path, header: list[str], rows: list[list[str]]) -> NoReturn:
-    """Raise the error of the first bad row or cell, in row-major order."""
+def _csv_rows(path: Path, text: str) -> tuple[list[str], list[tuple[int, list[str]]]]:
+    """The header cells and the data rows of ``text`` as ``csv.reader``
+    reads them, each data row with the physical line it ends on; blank
+    rows at the end are dropped."""
+    reader = csv.reader(_lines(text))
+    try:
+        rows = [(reader.line_num, row) for row in reader]
+    except csv.Error as exc:  # a field over csv's size limit, say
+        raise DataFormatError(f"{path}: line {reader.line_num}: {exc}") from None
+    while rows and not rows[-1][1]:
+        rows.pop()
+    if not rows:
+        raise DataFormatError(f"{path}: empty file (line 1: header row required)")
+    return rows[0][1], rows[1:]
+
+
+def _cell_values(path: Path, header: list[str], rows: list[tuple[int, list[str]]]) -> np.ndarray:
+    """The rows' cells as an array; a bad row or cell raises the error of
+    the first one in row-major order."""
+    if not rows:
+        raise DataFormatError(f"{path}: no data rows after the header")
     ncol = len(header)
-    for line_no, row in enumerate(rows[1:], start=2):
+    values = np.empty((len(rows), ncol))
+    for i, (line_no, row) in enumerate(rows):
         if len(row) != ncol:
             raise DataFormatError(
                 f"{path}: line {line_no}: expected {ncol} cells, got {len(row)}"
             )
-        for j, cell in enumerate(row):
+        try:
+            cells = list(map(float, row))
+            if all(map(math.isfinite, cells)):
+                values[i] = cells
+                continue
+        except ValueError:
+            pass
+        for j, cell in enumerate(row):  # the row holds a bad cell: find the first
             try:
                 v = float(cell)
             except ValueError:
@@ -188,7 +246,7 @@ def _raise_first_bad_cell(path: Path, header: list[str], rows: list[list[str]]) 
                     f"{path}: row at line {line_no}, column {header[j]!r}: "
                     f"non-finite value {cell.strip()!r}"
                 )
-    raise AssertionError("load_csv rejected a table whose every cell is valid")
+    return values
 
 
 def _column_moments(x: np.ndarray, moment) -> np.ndarray:
@@ -673,6 +731,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser ``main`` uses: built on its first call, not at import,
+    and then reused, since parsing leaves no state in it."""
+    return build_parser()
+
+
 def _run_data(args: argparse.Namespace, payload_fn, render_fn) -> int:
     """fit and compare: CSV -> standardize -> payload -> JSON or table."""
     data = load_csv(args.input, args.response, add_intercept=not args.no_intercept)
@@ -698,7 +763,7 @@ def _run_simulate(args: argparse.Namespace) -> int:
 
 def main(argv: list[str] | None = None) -> int:
     try:
-        args = build_parser().parse_args(argv)
+        args = _parser().parse_args(argv)
         # Arithmetic that leaves the double range ends as one error line,
         # not as numpy warnings next to an output full of infinities.
         with np.errstate(over="raise", divide="raise", invalid="raise"):

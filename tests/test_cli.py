@@ -6,8 +6,13 @@ import dataclasses
 import io
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 from functools import cached_property
+from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -15,6 +20,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import pcreg
+import pcreg.cli as cli
 from pcreg import fixture_path
 from pcreg.cli import (
     EXIT_ALERT,
@@ -33,7 +39,7 @@ from pcreg.cli import (
     standardize,
     _lines,
 )
-from pcreg.errors import DataFormatError, DegreesOfFreedomError, ValidationError
+from pcreg.errors import DataFormatError, DegreesOfFreedomError, PcregError, ValidationError
 from pcreg.model import Dataset, fit_ols
 from pcreg.montecarlo import MAX_REPLICATES, run_simulation, theory_comparison
 
@@ -61,6 +67,54 @@ def write_sim_config(tmp_path, **overrides):
     path = tmp_path / "sim.json"
     path.write_text(json.dumps(cfg), encoding="utf-8")
     return path
+
+
+def load_outcome(path, response="y"):
+    """load_csv's names and array bytes, or its error type and text."""
+    try:
+        data = load_csv(path, response, add_intercept=False)
+    except PcregError as exc:
+        return type(exc).__name__, str(exc)
+    return data.names, data.y.tobytes(), data.x.tobytes()
+
+
+def reference_outcome(path, response="y"):
+    """load_outcome with numpy's reader switched off: csv.reader and float()."""
+    with mock.patch.object(cli, "_numeric_table", lambda text: None):
+        return load_outcome(path, response)
+
+
+def write_wide_csv(path, n=1000, m=50, seed=5):
+    # Columns at graded scales, every value written as its shortest repr.
+    rng = np.random.default_rng(seed)
+    values = rng.standard_normal((n, m)) * np.logspace(-8, 8, m)
+    lines = [",".join(["y"] + [f"x{j}" for j in range(1, m)])]
+    lines += [",".join(map(repr, row.tolist())) for row in values]
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    return path
+
+
+# What a numeric CSV is made of, and each character on which numpy's reader
+# and csv.reader + float() part ways.
+CSV_ALPHABET = '0123456789.eE+-_,"\n\r\t \x0c\x1c\x1d\x1e\x1f\x00\u0661\xa0nainf'
+# Numbers as they are written, and as they are written to trip a parser:
+# 17-digit reprs, 25-digit mantissas, up to 45 digits a side, exponents past
+# the subnormal and overflow ends, spaces and tabs around the number.
+CSV_NUMBER = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+    st.floats(allow_nan=False, allow_infinity=False).map("{:.25e}".format),
+    st.from_regex(r"[ \t]?[+-]?[0-9]{0,45}\.?[0-9]{0,45}([eE][+-]?[0-9]{1,3})?[ \t]?",
+                  fullmatch=True),
+)
+CSV_CELL = st.one_of(CSV_NUMBER, st.text(CSV_ALPHABET, max_size=5))
+CSV_BODY = st.one_of(
+    st.lists(st.lists(CSV_NUMBER, min_size=2, max_size=2).map(",".join), min_size=1,
+             max_size=6).map(lambda rows: "\n".join(rows) + "\n"),
+    st.lists(st.tuples(st.lists(CSV_CELL, min_size=1, max_size=3).map(",".join),
+                       st.sampled_from(["\n", "\n", "\r\n", "\n\n", "\r", ""])),
+             max_size=6).map(lambda rows: "".join(row + end for row, end in rows)),
+    st.text(CSV_ALPHABET, max_size=30),
+)
 
 
 class TestLoadCsv:
@@ -166,6 +220,65 @@ class TestLoadCsv:
     @example(text="a\x0c1\n\n")  # a form feed does not end a line
     def test_lines_give_the_rows_of_a_stringio(self, text):
         assert list(csv.reader(_lines(text))) == list(csv.reader(io.StringIO(text)))
+
+    @pytest.mark.filterwarnings("error")
+    @settings(max_examples=400, deadline=None)
+    @given(head=st.sampled_from(["y,a", "y,a\r", '"y",a', '"y\n",a', '"y', "a,y", "y", "y,a,b"]),
+           body=CSV_BODY)
+    @example(head='"y', body="1\n2\n")  # an open quote takes every line into the header
+    @example(head="y,a", body="1,2\n\n3,5\n4,1\n")  # numpy skips an inner blank line
+    @example(head="y,a", body="1,2\r3,4\n\n5,6\n")  # a bare "\r" ends numpy's row
+    @example(head="y,a", body="\x1c1,2\n3,4\n")  # numpy strips "\x1c"; float() does not
+    @example(head="y,a", body="1_0,2\n3,4\n")  # float() reads "_" separators; numpy does not
+    @example(head="y,a", body="\u0661,2\n3,4\n")  # nor non-ASCII digits
+    @example(head="y,a", body='"1",2\n3,"4"\n')  # nor quoted cells
+    @example(head="y,a", body="\n\n")  # on no data rows np.loadtxt would warn
+    @example(head="y,a", body="1,2\n\n")
+    @example(head="y,a", body=" \n")
+    @example(head="y,a", body="1,0." + "0" * 140_000 + "1\n2,3\n")  # csv's field limit
+    def test_numpy_reader_matches_csv_and_float(self, tmp_path_factory, head, body):
+        # numpy's reader may only speed a load up: the names, the array bits
+        # and every error text are those of csv.reader and float().
+        text = head + "\n" + body
+        path = tmp_path_factory.mktemp("csv") / "data.csv"
+        path.write_bytes(text.encode("utf-8"))
+        assert load_outcome(path) == reference_outcome(path)
+        # The same holds of the text itself, before reading a file turns
+        # every "\r" and "\r\n" into "\n".
+        table = cli._numeric_table(text)
+        if table is not None:
+            header, rows = cli._csv_rows(path, text)
+            assert table[0] == header
+            assert table[1].tobytes() == cli._cell_values(path, header, rows).tobytes()
+
+    def test_plain_numbers_take_the_numpy_reader(self, tmp_path):
+        # The fixture and a wide design load without csv.reader, to the same bits.
+        cases = [(fixture_path(), "cost"), (write_wide_csv(tmp_path / "wide.csv"), "y")]
+        expected = [reference_outcome(path, response) for path, response in cases]
+        with mock.patch.object(cli, "_csv_rows", side_effect=AssertionError("csv.reader ran")):
+            got = [load_outcome(path, response) for path, response in cases]
+        assert got == expected
+        assert [len(outcome) for outcome in got] == [3, 3]  # loaded, not an error
+
+    def test_field_over_the_csv_limit_exit(self, tmp_path):
+        for name, text, line in [
+            ("cell.csv", "y,a\n1," + "1" * 140_000 + "\n2,3\n", 2),
+            ("name.csv", "y," + "a" * 140_000 + "\n1,2\n", 1),
+        ]:
+            path = tmp_path / name
+            path.write_text(text, encoding="utf-8")
+            code, out, err = run_main(["fit", "--input", str(path), "--response", "y"])
+            assert (code, out) == (EXIT_USAGE, "")
+            assert err == (f"pcreg: error: {path}: line {line}: "
+                           "field larger than field limit (131072)\n")
+
+    def test_error_after_a_quoted_newline_names_the_physical_line(self, tmp_path):
+        path = tmp_path / "quoted.csv"
+        path.write_text('y,a\n"1\n",2\n3,x\n4,5\n6,7\n', encoding="utf-8")
+        with pytest.raises(DataFormatError) as excinfo:
+            load_csv(path, "y")
+        assert str(excinfo.value) == (
+            f"{path}: row at line 4, column 'a': cannot parse 'x' as a number")
 
     def test_invalid_utf8_exit(self, tmp_path):
         path = tmp_path / "latin1.csv"
@@ -588,6 +701,49 @@ class TestMainExitCodes:
         payload = json.loads(capsys.readouterr().out)
         np.testing.assert_allclose(payload["estimates"]["beta"], [1.0, 1.0], atol=1e-12)
         assert payload["estimates"]["dof"] == 1
+
+
+class TestParserReuse:
+    def test_a_flag_does_not_outlive_its_call(self, tmp_path):
+        # Each call with --no-intercept, --out or --seed is followed by the
+        # same call without it; through the one shared parser, every call
+        # prints the bytes a call through a new parser prints.
+        sim = write_sim_config(tmp_path)
+        out = tmp_path / "out.txt"
+        data = ["--input", str(fixture_path()), "--response", "cost"]
+        fit = ["fit", *data, "--format", "json"]
+        compare = ["compare", *data, "--d", "3"]
+        simulate = ["simulate", "--config", str(sim), "--format", "json"]
+        calls = [fit + ["--no-intercept"], fit, compare + ["--out", str(out)], compare,
+                 simulate + ["--seed", "5"], simulate]
+
+        def outputs(fresh):
+            seen = []
+            for argv in calls:
+                if fresh:
+                    cli._parser.cache_clear()
+                seen.append(run_main(argv) + (out.read_bytes() if out.exists() else None,))
+                out.unlink(missing_ok=True)
+            return seen
+
+        expected = outputs(fresh=True)
+        cli._parser.cache_clear()
+        assert outputs(fresh=False) == expected
+        assert cli._parser.cache_info().misses == 1
+        assert [code for code, *_ in expected] == [EXIT_OK] * 6
+        assert expected[0] != expected[1] and expected[4] != expected[5]
+        assert expected[2][1] == "" and expected[2][3] == expected[3][1].encode()
+
+    def test_built_on_first_call_not_at_import(self):
+        src = str(Path(pcreg.__file__).resolve().parents[1])
+        probe = ("import pcreg.cli as cli\n"
+                 "print(cli._parser.cache_info().currsize)\n"
+                 "cli.main(['--version-that-does-not-exist'])\n"
+                 "print(cli._parser.cache_info().currsize)")
+        done = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                              env={**os.environ, "PYTHONPATH": src}, timeout=120)
+        assert done.stdout.split() == ["0", "1"], done.stderr
+        assert build_parser() is not build_parser()
 
 
 class TestSimulate:
