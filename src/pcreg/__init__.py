@@ -28,7 +28,6 @@ from .errors import (
 from .linalg import (
     SvdFactors,
     gram_pseudo_inverse,
-    hat_matrix,
     loading_projector,
     svd_thin,
 )
@@ -37,6 +36,7 @@ from .model import (
     OlsEstimate,
     PcrEstimate,
     beta_additivity_check,
+    component_fit,
     fit_ols,
     fit_pcr,
     recover_ols_sigma2,
@@ -78,12 +78,12 @@ __all__ = [
     "adjudicate_rss_dof",
     "beta_additivity_check",
     "build_report",
+    "component_fit",
     "covariance_agreement",
     "fit_ols",
     "fit_pcr",
     "fixture_path",
     "gram_pseudo_inverse",
-    "hat_matrix",
     "loading_projector",
     "pcr_covariance",
     "recover_ols_sigma2",

@@ -29,12 +29,7 @@ from typing import NoReturn
 
 import numpy as np
 
-from .diagnostics import (
-    build_report,
-    covariance_agreement,
-    pcr_covariance,
-    variance_recomposition_check,
-)
+from .diagnostics import build_report, covariance_agreement, variance_recomposition_check
 from .errors import (
     ConvergenceError,
     DataFormatError,
@@ -43,6 +38,7 @@ from .errors import (
     RankDeficiencyError,
     ValidationError,
 )
+from .linalg import gram_pseudo_inverse
 from .model import (
     Dataset,
     beta_additivity_check,
@@ -299,24 +295,25 @@ def standardize(data: Dataset, mode: str) -> tuple[Dataset, TransformRecord]:
 # payload builders (shared by table and JSON rendering)
 
 
-def _transform_dict(record: TransformRecord) -> dict:
+def _data_config(data: Dataset, d: int | None, record: TransformRecord) -> dict:
+    """The ``config`` block of a fit or compare payload."""
     return {
-        "mode": record.mode,
-        "means": record.means.tolist(),
-        "scales": record.scales.tolist(),
+        "n": data.n,
+        "p": data.p,
+        "d": d,
+        "names": list(data.names),
+        "standardize": {
+            "mode": record.mode,
+            "means": record.means.tolist(),
+            "scales": record.scales.tolist(),
+        },
     }
 
 
 def fit_payload(data: Dataset, d: int | None, record: TransformRecord) -> dict:
     """Single-model fit: OLS when d is None, else the component regression."""
     ols = fit_ols(data)
-    config = {
-        "n": data.n,
-        "p": data.p,
-        "names": list(data.names),
-        "standardize": _transform_dict(record),
-        "d": d,
-    }
+    config = _data_config(data, d, record)
     if d is None:
         return {
             "config": config,
@@ -330,7 +327,7 @@ def fit_payload(data: Dataset, d: int | None, record: TransformRecord) -> dict:
             "covariances": {"beta": ols.cov.tolist()},
         }
     pcr = fit_pcr(data, d)
-    covs = pcr_covariance(data.factors, ols, pcr)
+    cov = gram_pseudo_inverse(data.factors, np.s_[:d]) * pcr.sigma2_d
     return {
         "config": config,
         "estimates": {
@@ -342,8 +339,8 @@ def fit_payload(data: Dataset, d: int | None, record: TransformRecord) -> dict:
             "sigma2_q": pcr.sigma2_q.tolist(),
             "rss_d": pcr.rss_d,
         },
-        "standard_errors": {"beta_d": np.sqrt(np.diag(covs.direct)).tolist()},
-        "covariances": {"beta_d": covs.direct.tolist()},
+        "standard_errors": {"beta_d": np.sqrt(np.diag(cov)).tolist()},
+        "covariances": {"beta_d": cov.tolist()},
     }
 
 
@@ -371,13 +368,7 @@ def compare_payload(data: Dataset, d: int, record: TransformRecord) -> dict:
     )
 
     return {
-        "config": {
-            "n": data.n,
-            "p": data.p,
-            "d": d,
-            "names": list(data.names),
-            "standardize": _transform_dict(record),
-        },
+        "config": _data_config(data, d, record),
         "estimates": {
             "ols": ols.beta.tolist(),
             "pcr_d": pcr.beta_d.tolist(),
@@ -649,6 +640,8 @@ def load_simulation_config(path: str | Path, seed_override: int | None = None) -
         raise DataFormatError(f"{path}: file not found") from None
     except json.JSONDecodeError as exc:
         raise DataFormatError(f"{path}: invalid JSON: {exc}") from None
+    except RecursionError:
+        raise DataFormatError(f"{path}: invalid JSON: nested too deeply to read") from None
     if not isinstance(raw, dict):
         raise DataFormatError(f"{path}: expected a JSON object at top level")
     for field in ("x", "beta_true", "sigma2_true", "d", "replicates", "seed"):

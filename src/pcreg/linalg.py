@@ -1,12 +1,12 @@
 """Dense linear algebra for component regressions.
 
 Thin SVD through LAPACK (numpy's ``gesdd``) with a fixed sign rule, the
-rank rule, and the component operators (hat matrices, Gram
-pseudo-inverses, loading projectors) that the estimator and diagnostics
-layers consume.  Everything here is a pure function of its inputs:
-identical input yields bit-identical output, values are never mutated
-after construction, and no global state exists, so all operations are
-safe to share across threads.
+rank rule, and the component operators (Gram pseudo-inverses, loading
+projectors) that the estimator and diagnostics layers consume.
+Everything here is a pure function of its inputs: identical input yields
+bit-identical output, values are never mutated after construction, and
+no global state exists, so all operations are safe to share across
+threads.
 
 Components are named by a ``slice`` of the factor columns: ``np.s_[:d]``
 for the d leading (largest singular value) components, ``np.s_[d:]`` for
@@ -24,6 +24,8 @@ from .errors import ConvergenceError, RankDeficiencyError, ValidationError
 # Relative rank tolerance per row or column; the cutoff is
 # RANK_TOL_FACTOR * max(n, p) * max(sigma).
 RANK_TOL_FACTOR = 1e-12
+# A rank error names at most this many near-zero components.
+NAMED_COMPONENTS = 5
 
 
 @dataclass(frozen=True)
@@ -107,27 +109,19 @@ def svd_thin(x: np.ndarray) -> SvdFactors:
 
 
 def check_rank(f: SvdFactors, cols: slice) -> None:
-    """Raise RankDeficiencyError naming every component in ``cols`` whose
-    singular value is at or below the rank cutoff."""
+    """Raise RankDeficiencyError naming the components in ``cols`` whose
+    singular value is at or below the rank cutoff: every one of them, or
+    past ``NAMED_COMPONENTS`` their count and the smallest few."""
     cutoff = f.rank_cutoff
     near_zero = np.arange(f.p)[cols][f.sigma[cols] <= cutoff]
     if near_zero.size:
-        pairs = ", ".join(f"{q}: {f.sigma[q]:.3e}" for q in near_zero.tolist())
+        named = near_zero[-NAMED_COMPONENTS:]  # sigma descends: the smallest come last
+        which = ("near-zero singular value(s) at component(s)" if named.size == near_zero.size
+                 else f"{near_zero.size} near-zero singular values, the smallest at components")
+        pairs = ", ".join(f"{q}: {f.sigma[q]:.3e}" for q in named.tolist())
         raise RankDeficiencyError(
-            f"design is rank deficient at tolerance {cutoff:.3e}; "
-            f"near-zero singular value(s) at component(s) {pairs}"
+            f"design is rank deficient at tolerance {cutoff:.3e}; {which} {pairs}"
         )
-
-
-def hat_matrix(f: SvdFactors, cols: slice) -> np.ndarray:
-    """Projection ``U_s U_s^T`` onto the fitted space of the components ``cols``.
-
-    Symmetric, idempotent, with trace equal to the number of components.
-    An empty slice returns the n x n zero matrix (projection onto
-    nothing), which is the documented behavior rather than an error.
-    """
-    us = f.u[:, cols]
-    return us @ us.T
 
 
 def gram_pseudo_inverse(f: SvdFactors, cols: slice) -> np.ndarray:

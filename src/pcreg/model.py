@@ -140,23 +140,40 @@ def checked_factors(x: np.ndarray) -> SvdFactors:
     return f
 
 
+def component_fit(
+    f: SvdFactors, y: np.ndarray, scores: np.ndarray, cols: slice
+) -> tuple[np.ndarray, np.ndarray]:
+    """Slopes and residual sum of squares of the fit on the components ``cols``.
+
+    ``beta = V_s Sigma_s^-1 U_s^T y`` and ``rss = |y - U_s U_s^T y|^2``, from
+    ``scores = U^T y``.  ``y`` is one response (shape (n,)) or a stack of
+    them (shape (..., n), with scores (..., p)); every item of a stack gets
+    the bits of the single-response call, since stacked ``matmul`` runs the
+    same BLAS kernel per item.  An empty ``cols`` gives zero slopes and
+    ``rss = |y|^2``.
+    """
+    s = scores[..., cols]
+    beta = np.matmul(f.v[:, cols], (s / f.sigma[cols])[..., None])[..., 0]
+    resid = y - np.matmul(f.u[:, cols], s[..., None])[..., 0]
+    rss = np.matmul(resid[..., None, :], resid[..., None])[..., 0, 0]
+    return beta, rss
+
+
 def fit_ols(data: Dataset) -> OlsEstimate:
     """Fit ordinary least squares through the SVD route.
 
     ``beta = V Sigma^-1 U^T y``, residual variance ``rss / (n - p)``, and
     covariance ``(X^T X)^-1 sigma2`` via the Gram pseudo-inverse, from the
-    dataset's factors and scores.  Requires full column rank.  The
-    residual is ``y - U U^T y``, the projection ``fit_pcr`` uses, so at
-    d = p the two fits agree bit for bit.
+    dataset's factors and scores.  Requires full column rank.  The fit is
+    ``component_fit`` on every component, the kernel ``fit_pcr`` uses, so
+    at d = p the two fits agree bit for bit.
     """
-    f, scores = data.factors, data.scores
     n, p = data.x.shape
-    beta = f.v @ (scores / f.sigma)
-    resid = data.y - f.u @ scores
-    rss = float(resid @ resid)
+    beta, rss = component_fit(data.factors, data.y, data.scores, np.s_[:])
+    rss = float(rss)
     dof = n - p
     sigma2 = rss / dof
-    cov = gram_pseudo_inverse(f, np.s_[:]) * sigma2
+    cov = gram_pseudo_inverse(data.factors, np.s_[:]) * sigma2
     return OlsEstimate(beta=beta, sigma2=sigma2, cov=cov, rss=rss, dof=dof)
 
 
@@ -173,26 +190,18 @@ def fit_pcr(data: Dataset, d: int) -> PcrEstimate:
         raise ValidationError(
             f"retained component count must satisfy 1 <= d <= p; got d={d} with p={p}"
         )
-    f, scores = data.factors, data.scores
-    y = data.y
-
-    beta_pc_d = scores[:d]
-    beta_pc_k = scores[d:]
-    beta_d = f.v[:, :d] @ (beta_pc_d / f.sigma[:d])
-    beta_k = f.v[:, d:] @ (beta_pc_k / f.sigma[d:])
-
-    resid_d = y - f.u[:, :d] @ beta_pc_d
-    rss_d = float(resid_d @ resid_d)
-    resid_k = y - f.u[:, d:] @ beta_pc_k
-    rss_k = float(resid_k @ resid_k)
+    f, scores, y = data.factors, data.scores, data.y
+    beta_d, rss_d = component_fit(f, y, scores, np.s_[:d])
+    beta_k, rss_k = component_fit(f, y, scores, np.s_[d:])
+    rss_d, rss_k = float(rss_d), float(rss_k)
 
     # Residuals of the p single-component regressions, one column each.
     resid_q = y[:, None] - f.u * scores
     rss_q = np.sum(resid_q * resid_q, axis=0)
 
     return PcrEstimate(
-        beta_pc_d=beta_pc_d,
-        beta_pc_k=beta_pc_k,
+        beta_pc_d=scores[:d],
+        beta_pc_k=scores[d:],
         beta_d=beta_d,
         beta_k=beta_k,
         sigma2_d=rss_d / (n - d),
@@ -258,6 +267,7 @@ __all__ = [
     "Dataset",
     "OlsEstimate",
     "PcrEstimate",
+    "component_fit",
     "fit_ols",
     "fit_pcr",
     "beta_additivity_check",

@@ -17,6 +17,10 @@ Results depend only on ``(seed, replicate)`` and never on execution
 order; aggregation reduces over replicate-indexed arrays, keeping output
 bits independent of any parallel scheduling of the replicates themselves.
 The design is factored and checked for full column rank once per run.
+Replicates are drawn and fitted in blocks, each block of responses in one
+call of :func:`pcreg.model.component_fit`, the kernel of ``fit_pcr``; a
+block holds about ``BLOCK_VALUES`` doubles, so memory per block is bounded
+at any n and replicate count.
 """
 
 from __future__ import annotations
@@ -30,7 +34,7 @@ import numpy as np
 
 from .errors import DegreesOfFreedomError, ValidationError
 from .linalg import gram_pseudo_inverse
-from .model import checked_factors
+from .model import checked_factors, component_fit
 
 GENERATOR_NAME = "numpy-philox-jumped-per-replicate"
 
@@ -41,6 +45,9 @@ MAX_REPLICATES = 10**6
 SEED_LIMIT = 2**128
 # Covariance rows need enough replicates for a meaningful matrix estimate.
 COVARIANCE_MIN_REPLICATES = 1000
+# Replicates are drawn and fitted in blocks of max(1, BLOCK_VALUES // n), so
+# a block holds about this many doubles per array at any n.
+BLOCK_VALUES = 2**14
 
 
 @dataclass(frozen=True)
@@ -183,13 +190,14 @@ def run_simulation(cfg: SimulationConfig) -> SimulationResult:
     The design is factored and checked for full column rank once
     (RankDeficiencyError otherwise), and one generator is built.  Per
     replicate r that generator is seeked to the counter-addressed (seed, r)
-    stream and the error vector drawn from it, and only what is aggregated
-    is computed: the retained slopes and the residual sum of squares, by
-    the expressions ``fit_pcr`` uses, so the bits match its fit.  The
-    factor views the loop reads are taken once.  Floating-point warnings
-    are silenced; a non-finite aggregate (a ``sigma2_true``, design or
-    ``beta_true`` so large that the sums overflow) raises ValidationError
-    instead.
+    stream and the error vector drawn from it into one preallocated block
+    of max(1, BLOCK_VALUES // n) rows.  Each block of responses is fitted
+    with one ``component_fit`` call, the kernel ``fit_pcr`` uses, so every
+    replicate's retained slopes and residual sum of squares carry the bits
+    of its ``fit_pcr`` fit; only these are computed.  Floating-point
+    warnings are silenced; a non-finite aggregate (a ``sigma2_true``,
+    design or ``beta_true`` so large that the sums overflow) raises
+    ValidationError instead.
     """
     f = checked_factors(cfg.x)
     n, p, d = cfg.n, cfg.p, cfg.d
@@ -200,13 +208,15 @@ def run_simulation(cfg: SimulationConfig) -> SimulationResult:
     rss_d_draws = np.empty(reps)
     beta_d_draws = np.empty((reps, p))
     seek = _replicate_seeker(cfg.seed)
-    u_t, u_d, v_d, sigma_d = f.u.T, f.u[:, :d], f.v[:, :d], f.sigma[:d]
-    for r in range(reps):
-        y = mu + sd * seek(r).standard_normal(n)
-        scores = (u_t @ y)[:d]
-        resid = y - u_d @ scores
-        rss_d_draws[r] = resid @ resid
-        beta_d_draws[r] = v_d @ (scores / sigma_d)
+    z = np.empty((max(1, BLOCK_VALUES // n), n))
+    for start in range(0, reps, len(z)):
+        draws = z[: reps - start]
+        for r, out in enumerate(draws, start):
+            seek(r).standard_normal(out=out)
+        y = mu + sd * draws
+        block = np.s_[start : start + len(y)]
+        scores = np.matmul(f.u.T, y[..., None])[..., 0]
+        beta_d_draws[block], rss_d_draws[block] = component_fit(f, y, scores, np.s_[:d])
     sigma2_d_draws = rss_d_draws / (n - d)
 
     # Ground-truth decomposition of beta over retained/omitted loadings.

@@ -27,7 +27,7 @@ from pcreg.diagnostics import (
     pcr_covariance,
     variance_recomposition_check,
 )
-from pcreg.linalg import gram_pseudo_inverse, hat_matrix, loading_projector, svd_thin
+from pcreg.linalg import gram_pseudo_inverse, loading_projector, svd_thin
 from pcreg.model import (
     Dataset,
     beta_additivity_check,
@@ -89,9 +89,9 @@ def test_criterion_1_exact_identity_suite():
                 # additive slope decomposition
                 gap = beta_additivity_check(ols, pcr)
                 assert gap <= 1e-10 * (1 + np.max(np.abs(ols.beta)))
-                # RSS ledger through the omitted-block hat matrix
-                h_k = hat_matrix(f, np.s_[pcr.d :])
-                ledger = ols.rss + float(y @ h_k @ y)
+                # RSS ledger: y^T H_k y = |U_k^T y|^2 for the omitted block
+                s_k = f.u[:, pcr.d :].T @ y
+                ledger = ols.rss + float(s_k @ s_k)
                 assert _rel_ok(pcr.rss_d, ledger)
                 # OLS residual variance recovered from the PCR fit
                 assert _rel_ok(recover_ols_sigma2(data, pcr), ols.sigma2)

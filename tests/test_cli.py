@@ -560,6 +560,23 @@ class TestMainExitCodes:
                      "--d", "1", "--no-intercept"])
         assert code == EXIT_RANK
 
+    @pytest.mark.parametrize("command", ["fit", "compare"])
+    def test_many_near_zero_components_are_counted_on_one_line(self, tmp_path, capsys,
+                                                               command):
+        # Twelve copies of one column: eleven near-zero components, past the
+        # few a rank error names one by one.
+        rows = [[i * i] + [float(i)] * 12 for i in range(20)]
+        path = tmp_path / "copies.csv"
+        path.write_text("\n".join(["y," + ",".join(f"c{j}" for j in range(12))]
+                                  + [",".join(map(str, row)) for row in rows]) + "\n",
+                        encoding="utf-8")
+        code = main([command, "--input", str(path), "--response", "y", "--d", "1",
+                     "--no-intercept"])
+        assert code == EXIT_RANK
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and len(err) < 300, err
+        assert "; 11 near-zero singular values, the smallest at components 7: " in err
+
     def test_recomposition_where_sigma2_d_is_below_the_guard(self, tmp_path):
         # sigma2 = 1.21e-300 clears the ratio guard and sigma2_d = 9.41e-301 does
         # not; the recomposition is still defined, since sigma2_d >= sigma2 (n-p)/(n-d).
@@ -758,6 +775,17 @@ class TestSimulate:
         path.write_text("{not json", encoding="utf-8")
         code = main(["simulate", "--config", str(path)])
         assert code == EXIT_USAGE
+
+    @pytest.mark.parametrize("depth", [990, 100_000])
+    def test_deeply_nested_json_exit(self, tmp_path, capsys, depth):
+        # json.loads raises RecursionError near Python's recursion limit,
+        # which 990 levels reach from inside a test.
+        path = tmp_path / "sim.json"
+        path.write_text("[" * depth + "]" * depth, encoding="utf-8")
+        code = main(["simulate", "--config", str(path)])
+        assert code == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err == f"pcreg: error: {path}: invalid JSON: nested too deeply to read\n"
 
     def test_replicates_floor_exit(self, tmp_path, capsys):
         path = write_sim_config(tmp_path, replicates=50)

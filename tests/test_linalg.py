@@ -13,8 +13,10 @@ from pcreg import fixture_path, linalg
 from pcreg.cli import EXIT_CONVERGENCE, load_csv, main, standardize
 from pcreg.errors import ConvergenceError, RankDeficiencyError, ValidationError
 from pcreg.linalg import (
+    NAMED_COMPONENTS,
+    SvdFactors,
+    check_rank,
     gram_pseudo_inverse,
-    hat_matrix,
     loading_projector,
     svd_thin,
 )
@@ -48,6 +50,15 @@ class TestSvdThin:
         np.testing.assert_array_equal(f.sigma, [3.0, 0.0])
         np.testing.assert_array_equal(f.u @ np.diag(f.sigma) @ f.v.T, x)
         np.testing.assert_allclose(f.u.T @ f.u, np.eye(2), atol=1e-12)
+
+    def test_u_has_orthonormal_columns(self):
+        # U_s U_s^T, the projection on the fitted space of the components s,
+        # is then symmetric idempotent with trace |U_s|_F^2 = |s|.
+        f = svd_thin(random_matrix(2, 20, 6))
+        np.testing.assert_allclose(f.u.T @ f.u, np.eye(6), atol=1e-12)
+        for d in range(7):
+            assert abs(np.sum(f.u[:, :d] ** 2) - d) <= 1e-10
+            assert abs(np.sum(f.u[:, d:] ** 2) - (6 - d)) <= 1e-10
 
     def test_zero_matrix_keeps_orthonormal_u(self):
         f = svd_thin(np.zeros((4, 3)))
@@ -137,41 +148,38 @@ class TestComponentSplit:
             fit_pcr(data, 5)
 
 
-class TestHatMatrix:
-    def test_hand_oracle_leading_one(self):
-        f = svd_thin(TOY)
-        np.testing.assert_allclose(hat_matrix(f, np.s_[:1]), np.diag([0.0, 1.0, 0.0]), atol=1e-12)
+class TestCheckRank:
+    @staticmethod
+    def factors(p, zeros):
+        # check_rank reads sigma and the shape of u only; n = p + 1.
+        sigma = np.concatenate([np.ones(p - zeros), np.zeros(zeros)])
+        return SvdFactors(u=np.broadcast_to(0.0, (p + 1, p)), sigma=sigma,
+                          v=np.broadcast_to(0.0, (p, p)))
 
-    def test_all_is_sum_of_blocks(self):
-        f = svd_thin(random_matrix(5, 30, 6))
-        full = hat_matrix(f, np.s_[:])
-        assert abs(np.trace(full) - 6) <= 1e-10
-        for d in range(1, 6):
-            h_d = hat_matrix(f, np.s_[:d])
-            h_k = hat_matrix(f, np.s_[d:])
-            np.testing.assert_allclose(h_d + h_k, full, atol=1e-10)
+    def test_a_few_components_are_each_named(self):
+        with pytest.raises(RankDeficiencyError) as info:
+            check_rank(self.factors(8, NAMED_COMPONENTS), np.s_[:])
+        assert str(info.value) == (
+            "design is rank deficient at tolerance 9.000e-12; near-zero singular value(s) "
+            "at component(s) 3: 0.000e+00, 4: 0.000e+00, 5: 0.000e+00, 6: 0.000e+00, "
+            "7: 0.000e+00"
+        )
 
-    def test_sum_of_singles(self):
-        f = svd_thin(random_matrix(8, 25, 5))
-        total = sum(hat_matrix(f, np.s_[q : q + 1]) for q in range(5))
-        np.testing.assert_allclose(total, hat_matrix(f, np.s_[:]), atol=1e-10)
+    def test_many_components_give_the_count_and_the_smallest_few(self):
+        # Naming each of 3000 components would make a line of about 50,000 characters.
+        with pytest.raises(RankDeficiencyError) as info:
+            check_rank(self.factors(3001, 3000), np.s_[:])
+        assert str(info.value) == (
+            "design is rank deficient at tolerance 3.002e-09; 3000 near-zero singular values, "
+            "the smallest at components 2996: 0.000e+00, 2997: 0.000e+00, 2998: 0.000e+00, "
+            "2999: 0.000e+00, 3000: 0.000e+00"
+        )
 
-    def test_symmetric_idempotent_trace(self):
-        f = svd_thin(random_matrix(2, 20, 6))
-        h = hat_matrix(f, np.s_[:3])
-        np.testing.assert_allclose(h, h.T, atol=1e-12)
-        np.testing.assert_allclose(h @ h, h, atol=1e-10)
-        assert abs(np.trace(h) - 3) <= 1e-10
-
-    def test_single_on_identity(self):
-        f = svd_thin(np.eye(3))
-        e2 = np.zeros((3, 3))
-        e2[1, 1] = 1.0
-        np.testing.assert_array_equal(hat_matrix(f, np.s_[1:2]), e2)
-
-    def test_empty_subset_is_zero(self):
-        f = svd_thin(TOY)
-        np.testing.assert_array_equal(hat_matrix(f, np.s_[0:0]), np.zeros((3, 3)))
+    def test_only_the_columns_asked_for(self):
+        f = self.factors(4, 2)
+        check_rank(f, np.s_[:2])
+        with pytest.raises(RankDeficiencyError, match=r"component\(s\) 3: "):
+            check_rank(f, np.s_[3:])
 
 
 class TestGramPseudoInverse:

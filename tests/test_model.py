@@ -16,15 +16,17 @@ from pcreg.errors import (
     RankDeficiencyError,
     ValidationError,
 )
-from pcreg.linalg import hat_matrix
 from pcreg.model import (
     Dataset,
     beta_additivity_check,
+    checked_factors,
+    component_fit,
     fit_ols,
     fit_pcr,
     recover_ols_sigma2,
     sigma2_d_three_forms,
 )
+from pcreg.montecarlo import BLOCK_VALUES
 
 TOY_X = np.array([[1.0, 0.0], [0.0, 2.0], [0.0, 0.0]])
 TOY_Y = np.array([1.0, 2.0, 3.0])
@@ -227,8 +229,8 @@ class TestFitPcr:
             pcr = fit_pcr(data, d)
             assert pcr.rss_d >= ols.rss - 1e-10 * (1 + ols.rss)
             assert pcr.rss_d <= prev_rss + 1e-10 * (1 + prev_rss)
-            h_k = hat_matrix(f, np.s_[pcr.d :])
-            ledger = ols.rss + float(y @ h_k @ y)
+            s_k = f.u[:, pcr.d :].T @ y  # y^T H_k y = |U_k^T y|^2
+            ledger = ols.rss + float(s_k @ s_k)
             assert abs(pcr.rss_d - ledger) <= 1e-10 * (1 + ledger)
             prev_rss = pcr.rss_d
 
@@ -248,9 +250,65 @@ class TestFitPcr:
         data = random_dataset(11, 35, 5)
         f = data.factors
         y = data.y
-        total = sum(float(y @ hat_matrix(f, np.s_[q : q + 1]) @ y) for q in range(5))
-        full = float(y @ hat_matrix(f, np.s_[:]) @ y)
+        # y^T H_s y = |U_s^T y|^2 for one component and for all of them
+        total = sum(float(np.sum((f.u[:, q : q + 1].T @ y) ** 2)) for q in range(5))
+        full = float(np.sum((f.u.T @ y) ** 2))
         assert abs(total - full) <= 1e-10 * (1 + full)
+
+
+# (n, p, d) shapes on which the stacked kernel is pinned to the
+# single-response products: tiny, wide-ish, d = p, p = 1 and n - p = 1.
+KERNEL_SHAPES = [(40, 3, 1), (40, 3, 3), (20, 1, 1), (150, 5, 2), (1000, 50, 10),
+                 (300, 8, 7), (7, 6, 3)]
+
+
+def single_response_fit(f, y, cols):
+    """The block fit on one response, written with the 1-d ``@`` products."""
+    s = (f.u.T @ y)[cols]
+    resid = y - f.u[:, cols] @ s
+    return f.v[:, cols] @ (s / f.sigma[cols]), resid @ resid
+
+
+class TestComponentFit:
+    @pytest.mark.parametrize("n, p, d", KERNEL_SHAPES)
+    def test_stack_matches_the_single_response_products(self, n, p, d):
+        # Bit equality of a stacked matmul item and the 1-d product is a
+        # numpy/BLAS property that simulate's blocks rely on; a release
+        # that breaks it fails here.  Stacks just under one simulate block
+        # and just over one, on columns scaled over 6 decades.
+        rng = np.random.default_rng(n * 100 + p * 10 + d)
+        f = checked_factors(rng.standard_normal((n, p)) * np.logspace(0.0, -6.0, p))
+        rows = max(1, BLOCK_VALUES // n)
+        for reps in (max(1, rows - 1), rows + 2):
+            y = rng.standard_normal((reps, n)) * 3.0 + 1.0
+            scores = np.matmul(f.u.T, y[..., None])[..., 0]
+            for cols in (np.s_[:d], np.s_[d:], np.s_[:]):
+                beta, rss = component_fit(f, y, scores, cols)
+                assert beta.shape == (reps, p) and rss.shape == (reps,)
+                for r in range(reps):
+                    assert scores[r].tobytes() == (f.u.T @ y[r]).tobytes()
+                    beta_r, rss_r = single_response_fit(f, y[r], cols)
+                    assert beta[r].tobytes() == beta_r.tobytes(), (reps, cols, r)
+                    assert rss[r] == rss_r, (reps, cols, r)
+
+    @pytest.mark.parametrize("n, p, d", KERNEL_SHAPES)
+    def test_fits_are_the_single_response_products(self, n, p, d):
+        data = random_dataset(n + p + d, n, p)
+        f, y = data.factors, data.y
+        ols, pcr = fit_ols(data), fit_pcr(data, d)
+        beta, rss = single_response_fit(f, y, np.s_[:])
+        assert ols.beta.tobytes() == beta.tobytes() and ols.rss == rss
+        beta, rss = single_response_fit(f, y, np.s_[:d])
+        assert pcr.beta_d.tobytes() == beta.tobytes() and pcr.rss_d == rss
+        beta, rss = single_response_fit(f, y, np.s_[d:])
+        assert pcr.beta_k.tobytes() == beta.tobytes() and pcr.sigma2_k == rss / (n - p + d)
+        assert all(type(v) is float for v in (ols.rss, ols.sigma2, pcr.rss_d, pcr.sigma2_k))
+
+    def test_empty_block(self, toy):
+        f = toy.factors
+        beta, rss = component_fit(f, toy.y, toy.scores, np.s_[2:])
+        np.testing.assert_array_equal(beta, np.zeros(2))
+        assert rss == float(toy.y @ toy.y)
 
 
 class TestIdentities:

@@ -13,6 +13,7 @@ from pcreg.errors import ValidationError
 from pcreg.linalg import svd_thin
 from pcreg.model import Dataset, fit_pcr
 from pcreg.montecarlo import (
+    BLOCK_VALUES,
     MAX_REPLICATES,
     SimulationConfig,
     _replicate_seeker,
@@ -139,6 +140,27 @@ class TestReplicateStreams:
         ids=["d<p", "d=p"],
     )
     def test_aggregates_match_the_dataset_fit_pcr_loop(self, cfg):
+        res, ref = run_simulation(cfg), reference_aggregates(cfg)
+        for name, expected in ref.items():
+            got = np.asarray(getattr(res, name), dtype=float)
+            assert got.tobytes() == np.asarray(expected, dtype=float).tobytes(), name
+
+
+    @pytest.mark.parametrize(
+        "cfg",
+        [
+            config(x=design(8, 150, 5), beta_true=np.array([1.0, -2.0, 0.5, 0.0, 3.0]), d=2,
+                   replicates=300, seed=5),
+            config(x=design(9, 1000, 50) * np.logspace(0.0, -6.0, 50),
+                   beta_true=np.linspace(-1.0, 1.0, 50), d=10, replicates=100, seed=6),
+        ],
+        ids=["150x5-d2-R300", "1000x50-d10-R100"],
+    )
+    def test_blocks_match_the_dataset_fit_pcr_loop(self, cfg):
+        # Full blocks and a partial last one; R = 300 at n = 150 is blocks of
+        # 109, 109 and 82 replicates.
+        rows = max(1, BLOCK_VALUES // cfg.n)
+        assert rows < cfg.replicates and cfg.replicates % rows
         res, ref = run_simulation(cfg), reference_aggregates(cfg)
         for name, expected in ref.items():
             got = np.asarray(getattr(res, name), dtype=float)
