@@ -137,6 +137,30 @@ class TestSvdThin:
         )
 
 
+def block_projection(f, cols):
+    """Projection ``U_s U_s^T`` on the fitted space of the components ``cols``."""
+    us = f.u[:, cols]
+    return us @ us.T
+
+
+class TestHatMatrix:
+    def test_all_is_sum_of_blocks(self):
+        f = svd_thin(random_matrix(5, 30, 6))
+        full = block_projection(f, np.s_[:])
+        assert abs(np.trace(full) - 6) <= 1e-10
+        for d in range(1, 6):
+            h_d = block_projection(f, np.s_[:d])
+            h_k = block_projection(f, np.s_[d:])
+            np.testing.assert_allclose(h_d + h_k, full, atol=1e-10)
+
+    def test_symmetric_idempotent_trace(self):
+        f = svd_thin(random_matrix(2, 20, 6))
+        h = block_projection(f, np.s_[:3])
+        np.testing.assert_allclose(h, h.T, atol=1e-12)
+        np.testing.assert_allclose(h @ h, h, atol=1e-10)
+        assert abs(np.trace(h) - 3) <= 1e-10
+
+
 class TestComponentSplit:
     # The d-split is the slice pair np.s_[:d], np.s_[d:]; fit_pcr checks d before slicing.
     def test_bounds(self):
