@@ -21,8 +21,9 @@ import argparse
 import csv
 import json
 import math
+import reprlib
 import sys
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 from functools import cache, partial
 from pathlib import Path
 from typing import NoReturn
@@ -48,6 +49,7 @@ from .model import (
     sigma2_d_three_forms,
 )
 from .montecarlo import (
+    GENERATOR_NAME,
     SimulationConfig,
     adjudicate_rss_dof,
     run_simulation,
@@ -120,11 +122,10 @@ def load_csv(path: str | Path, response: str, add_intercept: bool = True) -> Dat
         raise DataFormatError(f"{path}: line 1: blank column name in header")
     if len(set(header)) != len(header):
         dupes = sorted({name for name in header if header.count(name) > 1})
-        raise DataFormatError(f"{path}: line 1: duplicate column name(s) {dupes}")
+        raise DataFormatError(f"{path}: line 1: duplicate column name(s) {reprlib.repr(dupes)}")
     if response not in header:
-        raise DataFormatError(
-            f"{path}: response column {response!r} not in header {header}"
-        )
+        raise DataFormatError(f"{path}: response column {reprlib.repr(response)} "
+                              f"not in header {reprlib.repr(header)}")
     if table is None:
         values = _cell_values(path, header, rows)
 
@@ -234,13 +235,13 @@ def _cell_values(path: Path, header: list[str], rows: list[tuple[int, list[str]]
                 v = float(cell)
             except ValueError:
                 raise DataFormatError(
-                    f"{path}: row at line {line_no}, column {header[j]!r}: "
-                    f"cannot parse {cell.strip()!r} as a number"
+                    f"{path}: row at line {line_no}, column {reprlib.repr(header[j])}: "
+                    f"cannot parse {reprlib.repr(cell.strip())} as a number"
                 ) from None
             if not math.isfinite(v):
                 raise DataFormatError(
-                    f"{path}: row at line {line_no}, column {header[j]!r}: "
-                    f"non-finite value {cell.strip()!r}"
+                    f"{path}: row at line {line_no}, column {reprlib.repr(header[j])}: "
+                    f"non-finite value {reprlib.repr(cell.strip())}"
                 )
     return values
 
@@ -269,7 +270,9 @@ def standardize(data: Dataset, mode: str) -> tuple[Dataset, TransformRecord]:
     returned record discloses the applied transform.
     """
     if mode not in STANDARDIZE_MODES:
-        raise ValidationError(f"unknown standardize mode {mode!r}; choose from {STANDARDIZE_MODES}")
+        raise ValidationError(
+            f"unknown standardize mode {reprlib.repr(mode)}; choose from {STANDARDIZE_MODES}"
+        )
     p = data.p
     means = np.zeros(p)
     scales = np.ones(p)
@@ -284,7 +287,7 @@ def standardize(data: Dataset, mode: str) -> tuple[Dataset, TransformRecord]:
         zero = np.flatnonzero(scales == 0.0)
         if zero.size:
             raise ValidationError(
-                f"column {data.names[zero[0]]!r} has zero variance; zscore undefined"
+                f"column {reprlib.repr(data.names[zero[0]])} has zero variance; zscore undefined"
             )
         x[:, cols] /= scales[cols]
     out = Dataset(y=data.y, x=x, names=data.names, intercept_included=data.intercept_included)
@@ -312,9 +315,9 @@ def _data_config(data: Dataset, d: int | None, record: TransformRecord) -> dict:
 
 def fit_payload(data: Dataset, d: int | None, record: TransformRecord) -> dict:
     """Single-model fit: OLS when d is None, else the component regression."""
-    ols = fit_ols(data)
     config = _data_config(data, d, record)
     if d is None:
+        ols = fit_ols(data)
         return {
             "config": config,
             "estimates": {
@@ -425,7 +428,7 @@ def simulate_payload(cfg: SimulationConfig, alert_threshold: float) -> tuple[dic
             "seed": cfg.seed,
             "sigma2_true": cfg.sigma2_true,
             "beta_true": cfg.beta_true.tolist(),
-            "generator": res.generator,
+            "generator": GENERATOR_NAME,
             "alert_threshold": alert_threshold,
         },
         "result": {
@@ -438,17 +441,7 @@ def simulate_payload(cfg: SimulationConfig, alert_threshold: float) -> tuple[dic
             "mcse_rss_d": res.mcse_rss_d,
             "mcse_beta_d": res.mcse_beta_d.tolist(),
         },
-        "rows": [
-            {
-                "claim": row.claim,
-                "predicted": row.predicted,
-                "observed": row.observed,
-                "mcse": row.mcse,
-                "z": row.z,
-                "asserted": row.asserted,
-            }
-            for row in rows
-        ],
+        "rows": [asdict(row) for row in rows],
         "adjudication": adjudication,
         "alert": alert,
     }
@@ -638,28 +631,18 @@ def load_simulation_config(path: str | Path, seed_override: int | None = None) -
         raw = json.loads(path.read_text(encoding="utf-8"))
     except FileNotFoundError:
         raise DataFormatError(f"{path}: file not found") from None
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # bad JSON or UTF-8, or an integer over 4300 digits
         raise DataFormatError(f"{path}: invalid JSON: {exc}") from None
     except RecursionError:
         raise DataFormatError(f"{path}: invalid JSON: nested too deeply to read") from None
     if not isinstance(raw, dict):
         raise DataFormatError(f"{path}: expected a JSON object at top level")
-    for field in ("x", "beta_true", "sigma2_true", "d", "replicates", "seed"):
-        if field not in raw:
-            raise DataFormatError(f"{path}: missing field {field!r}")
-    try:
-        x = np.asarray(raw["x"], dtype=float)
-        beta = np.asarray(raw["beta_true"], dtype=float)
-    except (TypeError, ValueError) as exc:
-        raise DataFormatError(f"{path}: field 'x'/'beta_true': {exc}") from None
-    return SimulationConfig(
-        x=x,
-        beta_true=beta,
-        sigma2_true=raw["sigma2_true"],
-        d=raw["d"],
-        replicates=raw["replicates"],
-        seed=raw["seed"] if seed_override is None else seed_override,
-    )
+    for field in fields(SimulationConfig):
+        if field.name not in raw:
+            raise DataFormatError(f"{path}: missing field {field.name!r}")
+    if seed_override is not None:
+        raw["seed"] = seed_override
+    return SimulationConfig(**{field.name: raw[field.name] for field in fields(SimulationConfig)})
 
 
 def _add_data_args(sub: argparse.ArgumentParser, d_required: bool) -> None:
@@ -768,7 +751,7 @@ def main(argv: list[str] | None = None) -> int:
     except (DataFormatError, ValidationError) as exc:
         print(f"pcreg: error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except FloatingPointError as exc:
+    except (FloatingPointError, OverflowError) as exc:  # OverflowError: an int past 1.8e308
         print(f"pcreg: error: the data exceed the double-precision range ({exc})",
               file=sys.stderr)
         return EXIT_USAGE

@@ -7,7 +7,13 @@ residual-variance bias.  Two bias predictions are tracked side by side,
 differing in the degrees-of-freedom constant booked for the error term:
 the trace-derived ``E(RSS_d) = sigma2 (n - d) + omitted quad form`` and
 the alternative with ``n - p`` in place of ``n - d``; the adjudication
-between them is part of the output.
+between them is part of the output.  The slopes' covariance is predicted
+as ``sigma2 V_d S_d^-2 V_d^T``, the sampling covariance of
+``beta_d = V_d S_d^-1 U_d^T y`` in a fixed design whatever the truth puts
+on the omitted components; the expected plug-in variance
+``sigma2 + omitted quad form / (n - d)`` is what the RSS and bias rows
+check, not the slopes' spread.  Every z-scored claim is one entry of the
+claim table in :func:`theory_comparison`.
 
 Replicate streams come from a counter-based generator (numpy Philox):
 replicate r uses the key ``seed`` with the counter set to ``[0, 0, r, 0]``,
@@ -27,6 +33,7 @@ from __future__ import annotations
 
 import math
 import numbers
+import reprlib
 from collections.abc import Callable
 from dataclasses import dataclass, fields
 
@@ -58,8 +65,10 @@ class SimulationConfig:
     X); errors are drawn iid normal with variance ``sigma2_true``, which
     is the assumption under which the stated sampling distributions hold.
     ``d``, ``replicates`` and ``seed`` must be integers (a bool or a float
-    is rejected, not truncated) and ``sigma2_true`` a finite positive
-    number.
+    is rejected, not truncated), ``sigma2_true`` a finite positive number,
+    and ``x`` and ``beta_true`` arrays of numbers.  A rejected value is
+    quoted in its ``reprlib`` abbreviation, so a message stays one short
+    line at any input size.
     """
 
     x: np.ndarray
@@ -73,15 +82,22 @@ class SimulationConfig:
         for name in ("d", "replicates", "seed"):
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-                raise ValidationError(f"{name} must be an integer, got {value!r}")
+                raise ValidationError(f"{name} must be an integer, got {reprlib.repr(value)}")
             object.__setattr__(self, name, int(value))
         if isinstance(self.sigma2_true, bool) or not isinstance(self.sigma2_true, numbers.Real):
-            raise ValidationError(f"sigma2_true must be a number, got {self.sigma2_true!r}")
+            raise ValidationError(
+                f"sigma2_true must be a number, got {reprlib.repr(self.sigma2_true)}"
+            )
         object.__setattr__(self, "sigma2_true", float(self.sigma2_true))
         if not 0 <= self.seed < SEED_LIMIT:
-            raise ValidationError(f"seed must satisfy 0 <= seed < 2**128, got {self.seed}")
-        x = np.array(self.x, dtype=float)
-        beta = np.array(self.beta_true, dtype=float)
+            raise ValidationError(
+                f"seed must satisfy 0 <= seed < 2**128, got {reprlib.repr(self.seed)}"
+            )
+        try:
+            x = np.array(self.x, dtype=float)
+            beta = np.array(self.beta_true, dtype=float)
+        except (TypeError, ValueError):  # numpy's message echoes the value, at any length
+            raise ValidationError("x and beta_true must be arrays of numbers") from None
         if x.ndim != 2:
             raise ValidationError(f"design must be 2-d, got ndim={x.ndim}")
         n, p = x.shape
@@ -98,10 +114,11 @@ class SimulationConfig:
         if not self.sigma2_true > 0:
             raise ValidationError(f"sigma2_true must be positive, got {self.sigma2_true}")
         if not 1 <= self.d <= p:
-            raise ValidationError(f"d must lie in 1..{p}, got {self.d}")
+            raise ValidationError(f"d must lie in 1..{p}, got {reprlib.repr(self.d)}")
         if not MIN_REPLICATES <= self.replicates <= MAX_REPLICATES:
             raise ValidationError(
-                f"replicates must lie in {MIN_REPLICATES}..{MAX_REPLICATES}, got {self.replicates}"
+                f"replicates must lie in {MIN_REPLICATES}..{MAX_REPLICATES}, "
+                f"got {reprlib.repr(self.replicates)}"
             )
         object.__setattr__(self, "x", x)
         object.__setattr__(self, "beta_true", beta)
@@ -142,7 +159,6 @@ class SimulationResult:
     mcse_beta_d: np.ndarray
     z_floor_rss: float
     z_floor_beta_d: np.ndarray
-    generator: str = GENERATOR_NAME
 
 
 @dataclass(frozen=True)
@@ -194,10 +210,13 @@ def run_simulation(cfg: SimulationConfig) -> SimulationResult:
     of max(1, BLOCK_VALUES // n) rows.  Each block of responses is fitted
     with one ``component_fit`` call, the kernel ``fit_pcr`` uses, so every
     replicate's retained slopes and residual sum of squares carry the bits
-    of its ``fit_pcr`` fit; only these are computed.  Floating-point
-    warnings are silenced; a non-finite aggregate (a ``sigma2_true``,
-    design or ``beta_true`` so large that the sums overflow) raises
-    ValidationError instead.
+    of its ``fit_pcr`` fit; only these are computed.  The predictions
+    come from the truth and the design alone: the retained part of
+    ``beta_true`` as the slopes' mean, ``sigma2_true V_d S_d^-2 V_d^T`` as
+    their covariance, and the RSS and bias expectations under both dof
+    constants.  Floating-point warnings are silenced; a non-finite
+    aggregate (a ``sigma2_true``, design or ``beta_true`` so large that
+    the sums overflow) raises ValidationError instead.
     """
     f = checked_factors(cfg.x)
     n, p, d = cfg.n, cfg.p, cfg.d
@@ -220,12 +239,9 @@ def run_simulation(cfg: SimulationConfig) -> SimulationResult:
     sigma2_d_draws = rss_d_draws / (n - d)
 
     # Ground-truth decomposition of beta over retained/omitted loadings.
-    beta_k_true = f.v[:, d:] @ (f.v[:, d:].T @ cfg.beta_true)
-    beta_d_true = cfg.beta_true - beta_k_true
-    omitted_quad = float(np.sum((f.sigma[d:] * (f.v[:, d:].T @ cfg.beta_true)) ** 2))
-
-    sigma2_d_pop = (cfg.sigma2_true * (n - d) + omitted_quad) / (n - d)
-    predicted_cov = gram_pseudo_inverse(f, np.s_[:d]) * sigma2_d_pop
+    omitted = f.v[:, d:].T @ cfg.beta_true
+    beta_d_true = cfg.beta_true - f.v[:, d:] @ omitted
+    omitted_quad = float(np.sum((f.sigma[d:] * omitted) ** 2))
 
     # The rounding of an n-term fit followed by an R-term mean scales with
     # |y|, which is |mu| when the signal dwarfs the noise: (n + R) eps |mu|^2
@@ -241,7 +257,7 @@ def run_simulation(cfg: SimulationConfig) -> SimulationResult:
         mean_beta_d=np.mean(beta_d_draws, axis=0),
         empirical_cov_beta_d=np.cov(beta_d_draws, rowvar=False, ddof=1),
         predicted_mean_beta_d=beta_d_true,
-        predicted_cov=predicted_cov,
+        predicted_cov=gram_pseudo_inverse(f, np.s_[:d]) * cfg.sigma2_true,
         predicted_bias_nd_dof=omitted_quad / (n - d),
         predicted_bias_np_dof=((n - p) / (n - d) - 1.0) * cfg.sigma2_true
         + omitted_quad / (n - d),
@@ -254,7 +270,7 @@ def run_simulation(cfg: SimulationConfig) -> SimulationResult:
         z_floor_beta_d=rounding / f.sigma[d - 1] * np.max(np.abs(f.v[:, :d]), axis=1),
     )
     for field in fields(res):
-        if field.name in ("config", "generator", "z_floor_rss", "z_floor_beta_d"):
+        if field.name in ("config", "z_floor_rss", "z_floor_beta_d"):
             continue
         if not np.all(np.isfinite(getattr(res, field.name))):
             raise ValidationError(
@@ -273,67 +289,40 @@ def _z(observed: float, predicted: float, mcse: float, floor: float) -> float:
 def theory_comparison(res: SimulationResult) -> list[TheoryRow]:
     """Tabulate every tracked claim as (predicted, observed, MCSE, z).
 
-    The n-p dof variants are included as recorded (non-asserted) rows so
-    the adjudication stays visible without flagging an expected
-    deviation.  The covariance claim is summarized by its relative
-    Frobenius distance (z is not applicable there and is reported as
-    nan); it is included only when the run had at least 1000 replicates.
+    Each z-scored claim is one entry of a table of (claim, predicted,
+    observed, MCSE, z floor, asserted).  The n-p dof variants are included
+    as recorded (non-asserted) rows so the adjudication stays visible
+    without flagging an expected deviation.  The covariance claim is
+    summarized by its relative Frobenius distance (z is not applicable
+    there and is reported as nan); it is included only when the run had
+    at least 1000 replicates.
     """
     cfg = res.config
-    rows: list[TheoryRow] = []
-    for j in range(cfg.p):
-        rows.append(
-            TheoryRow(
-                claim=f"mean_beta_d[{j}]",
-                predicted=float(res.predicted_mean_beta_d[j]),
-                observed=float(res.mean_beta_d[j]),
-                mcse=float(res.mcse_beta_d[j]),
-                z=_z(res.mean_beta_d[j], res.predicted_mean_beta_d[j], res.mcse_beta_d[j],
-                     res.z_floor_beta_d[j]),
-            )
-        )
-    for label, predicted, asserted in (
-        ("mean_rss_d (n-d dof)", res.predicted_rss_nd_dof, True),
-        ("mean_rss_d (n-p dof)", res.predicted_rss_np_dof, False),
-    ):
-        rows.append(
-            TheoryRow(
-                claim=label,
-                predicted=predicted,
-                observed=res.mean_rss_d,
-                mcse=res.mcse_rss_d,
-                z=_z(res.mean_rss_d, predicted, res.mcse_rss_d, res.z_floor_rss),
-                asserted=asserted,
-            )
-        )
     observed_bias = res.mean_sigma2_d - cfg.sigma2_true
-    for label, predicted, asserted in (
-        ("bias_sigma2_d (n-d dof)", res.predicted_bias_nd_dof, True),
-        ("bias_sigma2_d (n-p dof)", res.predicted_bias_np_dof, False),
-    ):
-        rows.append(
-            TheoryRow(
-                claim=label,
-                predicted=predicted,
-                observed=observed_bias,
-                mcse=res.mcse_sigma2_d,
-                z=_z(observed_bias, predicted, res.mcse_sigma2_d, res.z_floor_rss),
-                asserted=asserted,
-            )
-        )
+    table = [
+        *((f"mean_beta_d[{j}]", res.predicted_mean_beta_d[j], res.mean_beta_d[j],
+           res.mcse_beta_d[j], res.z_floor_beta_d[j], True) for j in range(cfg.p)),
+        ("mean_rss_d (n-d dof)", res.predicted_rss_nd_dof, res.mean_rss_d, res.mcse_rss_d,
+         res.z_floor_rss, True),
+        ("mean_rss_d (n-p dof)", res.predicted_rss_np_dof, res.mean_rss_d, res.mcse_rss_d,
+         res.z_floor_rss, False),
+        ("bias_sigma2_d (n-d dof)", res.predicted_bias_nd_dof, observed_bias,
+         res.mcse_sigma2_d, res.z_floor_rss, True),
+        ("bias_sigma2_d (n-p dof)", res.predicted_bias_np_dof, observed_bias,
+         res.mcse_sigma2_d, res.z_floor_rss, False),
+    ]
+    rows = [
+        TheoryRow(claim, float(predicted), float(observed), float(mcse),
+                  _z(observed, predicted, mcse, floor), asserted)
+        for claim, predicted, observed, mcse, floor, asserted in table
+    ]
     if cfg.replicates >= COVARIANCE_MIN_REPLICATES:
         dist = float(
             np.linalg.norm(res.empirical_cov_beta_d - res.predicted_cov)
             / np.linalg.norm(res.predicted_cov)
         )
         rows.append(
-            TheoryRow(
-                claim="cov_beta_d relative Frobenius distance",
-                predicted=0.0,
-                observed=dist,
-                mcse=float("nan"),
-                z=float("nan"),
-            )
+            TheoryRow("cov_beta_d relative Frobenius distance", 0.0, dist, math.nan, math.nan)
         )
     return rows
 

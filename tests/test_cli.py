@@ -69,6 +69,13 @@ def write_sim_config(tmp_path, **overrides):
     return path
 
 
+def write_raw_sim_config(tmp_path, field, text):
+    """A simulate config whose ``field`` holds the JSON ``text`` as written."""
+    path = write_sim_config(tmp_path, **{field: "RAW"})
+    path.write_text(path.read_text(encoding="utf-8").replace('"RAW"', text), encoding="utf-8")
+    return path
+
+
 def load_outcome(path, response="y"):
     """load_csv's names and array bytes, or its error type and text."""
     try:
@@ -525,14 +532,16 @@ class TestFactorOnce:
         monkeypatch.setattr(Dataset, "scores", prop)
         return counts
 
-    @pytest.mark.parametrize("payload_fn, d", [(compare_payload, 2), (fit_payload, None),
-                                               (fit_payload, 2)],
+    @pytest.mark.parametrize("payload_fn, d, guards", [(compare_payload, 2, 1),
+                                                       (fit_payload, None, 1),
+                                                       (fit_payload, 2, 0)],
                              ids=["compare", "fit-ols", "fit-pcr"])
-    def test_one_svd_one_rank_check_one_projection(self, counts, payload_fn, d):
+    def test_one_svd_one_rank_check_one_projection(self, counts, payload_fn, d, guards):
         data, record = standardize(load_csv(fixture_path(), "cost"), "zscore")
         payload_fn(data, d, record)
-        # The guard is gram_pseudo_inverse's check of the OLS covariance.
-        assert counts == {"svd_thin": 1, "design rank check": 1, "covariance rank guard": 1,
+        # The guard is gram_pseudo_inverse's check of the OLS covariance,
+        # which fit --d neither builds nor prints.
+        assert counts == {"svd_thin": 1, "design rank check": 1, "covariance rank guard": guards,
                           "scores": 1}
 
 
@@ -720,6 +729,40 @@ class TestMainExitCodes:
         assert payload["estimates"]["dof"] == 1
 
 
+def long_header_argv(tmp_path):
+    path = tmp_path / "wide.csv"
+    path.write_text(",".join(f"c{j}" for j in range(50_000)) + "\n" + "1," * 49_999 + "1\n",
+                    encoding="utf-8")
+    return ["fit", "--input", str(path), "--response", "y"]
+
+
+def long_cell_argv(tmp_path):
+    path = tmp_path / "cell.csv"
+    path.write_text("y,a\n1,2\n2," + "z" * 100_000 + "\n3,4\n", encoding="utf-8")
+    return ["fit", "--input", str(path), "--response", "y"]
+
+
+def long_config_argv(**fields):
+    return lambda tmp_path: ["simulate", "--config", str(write_sim_config(tmp_path, **fields))]
+
+
+class TestBoundedEcho:
+    @pytest.mark.parametrize("argv", [
+        long_config_argv(d="7" * 10**6),
+        long_config_argv(seed=[1] * 200_000),
+        long_config_argv(x=[["a" * 10**6, 0.0, 0.0]]),
+        long_header_argv,
+        long_cell_argv,
+    ], ids=["d-string", "seed-list", "x-string", "header-without-response", "csv-cell"])
+    def test_an_echoed_input_is_cut_short(self, tmp_path, argv):
+        # A message quotes a bad value, a column name or a header in
+        # reprlib's abbreviated form, whatever the input's length.
+        code, out, err = run_main(argv(tmp_path))
+        assert code == EXIT_USAGE and out == ""
+        assert err.startswith("pcreg: error: ") and err.count("\n") == 1
+        assert len(err) <= 200 + len(str(tmp_path)), err[:300]
+
+
 class TestParserReuse:
     def test_a_flag_does_not_outlive_its_call(self, tmp_path):
         # Each call with --no-intercept, --out or --seed is followed by the
@@ -786,6 +829,27 @@ class TestSimulate:
         assert code == EXIT_USAGE
         err = capsys.readouterr().err
         assert err == f"pcreg: error: {path}: invalid JSON: nested too deeply to read\n"
+
+    @pytest.mark.parametrize("field", ["seed", "d"])
+    def test_integer_literal_over_4300_digits_exit(self, tmp_path, capsys, field):
+        # json.loads rejects it with a plain ValueError, not a JSONDecodeError.
+        path = write_raw_sim_config(tmp_path, field, "7" * 5000)
+        code = main(["simulate", "--config", str(path)])
+        assert code == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith(f"pcreg: error: {path}: invalid JSON: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("field, value", [("sigma2_true", 10**400),
+                                              ("beta_true", [10**400, 0, 0]),
+                                              ("x", [[10**400, 0, 0]] * 40)])
+    def test_integer_past_the_double_range_exit(self, tmp_path, capsys, field, value):
+        # float() of such an integer raises OverflowError, not a float warning.
+        path = write_sim_config(tmp_path, **{field: value})
+        code = main(["simulate", "--config", str(path)])
+        assert code == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith("pcreg: error: the data exceed the double-precision range")
+        assert err.count("\n") == 1
 
     def test_replicates_floor_exit(self, tmp_path, capsys):
         path = write_sim_config(tmp_path, replicates=50)
@@ -1031,3 +1095,28 @@ class TestMalformedInputFuzz:
             del raw[field]
             path.write_text(json.dumps(raw), encoding="utf-8")
         assert_clean_exit(*run_main(["simulate", "--config", str(path), "--format", "json"]))
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        depth=st.one_of(st.integers(1, 80), st.integers(850, 1100), st.integers(1, 100_000)),
+        container=st.sampled_from(["array", "object"]),
+        field=st.sampled_from([None, "x", "beta_true", "sigma2_true", "d", "replicates",
+                               "seed"]),
+    )
+    def test_nested_json_exits_with_one_short_line(self, tmp_path_factory, depth, container,
+                                                   field):
+        # depth levels of arrays or of objects, as the whole config (field
+        # None) or as one field's value.  Depths near Python's recursion
+        # limit parse, and the value must still not be echoed in full.
+        opener, leaf, closer = ("[", "[]", "]") if container == "array" else ('{"k": ', "{}", "}")
+        text = opener * (depth - 1) + leaf + closer * (depth - 1)
+        tmp = tmp_path_factory.mktemp("nested")
+        if field is None:
+            path = tmp / "sim.json"
+            path.write_text(text, encoding="utf-8")
+        else:
+            path = write_raw_sim_config(tmp, field, text)
+        code, out, err = run_main(["simulate", "--config", str(path)])
+        assert code == EXIT_USAGE and out == ""
+        assert err.startswith("pcreg: error: ") and err.count("\n") == 1
+        assert len(err) <= 200 + len(str(path)), err[:300]

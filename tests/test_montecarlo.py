@@ -234,12 +234,23 @@ class TestTheoryComparison:
     def test_adjudication_prefers_nd_dof(self):
         # truth placed on the omitted components so the two predictions
         # separate by sigma2 * (p - d); the trace-derived n-d form should win
-        x = design(9, 100, 5)
-        f = svd_thin(x)
-        coeff = np.sqrt(50.0 / 3.0) / f.sigma[2:]
-        beta = f.v[:, 2:] @ coeff
-        res = run_simulation(config(x=x, beta_true=beta, d=2, replicates=2000, seed=33))
-        adj = adjudicate_rss_dof(res)
+        adj = adjudicate_rss_dof(run_simulation(omitted_truth_config()))
         assert adj["winner"] == "n-d"
         assert abs(adj["z_nd"]) <= 4.0
         assert abs(adj["z_np"]) > 4.0
+
+    def test_slope_covariance_with_truth_on_the_omitted_components(self):
+        # beta_d = V_d S_d^-1 U_d^T y has covariance sigma2 V_d S_d^-2 V_d^T in a
+        # fixed design, whatever the truth puts on the omitted components; the
+        # expected plug-in variance sigma2_d,pop (here 1.5 sigma2) is not it.
+        res = run_simulation(omitted_truth_config())
+        frob = [row for row in theory_comparison(res) if "Frobenius" in row.claim]
+        assert len(frob) == 1 and frob[0].observed <= 0.10
+
+
+def omitted_truth_config():
+    """A run whose truth lies on the omitted components: sigma2_d,pop = 1.5 sigma2."""
+    x = design(9, 100, 5)
+    f = svd_thin(x)
+    coeff = np.sqrt(50.0 / 3.0) / f.sigma[2:]
+    return config(x=x, beta_true=f.v[:, 2:] @ coeff, d=2, replicates=2000, seed=33)

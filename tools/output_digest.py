@@ -29,7 +29,9 @@ in it (list indices written ``[*]``) and the largest relative change
 numbers (a flag, a string, a null, a missing key) reads ``non-numeric``.
 A summary follows: how many outputs are byte-identical, how many exit
 codes changed, and per path the number of outputs it changed in and its
-largest relative change.
+largest relative change.  The exit status is 0 when every output and
+exit code of the two checkouts is identical, 1 when any differs, and 2
+on an error, so the byte-identity gate is this one command.
 """
 
 from __future__ import annotations
@@ -129,7 +131,11 @@ def _fmt(change: float) -> str:
 
 
 def compare(roots: list[Path]) -> int:
-    """Run both checkouts, each in a fresh interpreter, and print the field diff."""
+    """Run both checkouts, each in a fresh interpreter, and print the field diff.
+
+    Returns 0 when every output is byte-identical with an unchanged exit
+    code, 1 otherwise, and 2 when the checkouts run different cases.
+    """
     runs = []
     spawn = multiprocessing.get_context("spawn")
     for root in roots:
@@ -157,7 +163,7 @@ def compare(roots: list[Path]) -> int:
           f"{exits_changed} exit code(s) changed")
     for path, (count, worst) in sorted(totals.items()):
         print(f"  {path}  changed in {count} output(s), largest relative change {_fmt(worst)}")
-    return 0
+    return 0 if identical == len(old) else 1
 
 
 def main(argv: list[str] | None = None) -> int:
