@@ -672,9 +672,13 @@ def _add_data_args(sub: argparse.ArgumentParser, d_required: bool) -> None:
 
 class _Parser(argparse.ArgumentParser):
     """A usage error is a ValidationError, which ``main`` reports like every
-    other failure: one stderr line and exit 2."""
+    other failure: one stderr line and exit 2.  argparse quotes the bad
+    argument whole, so a long message keeps its head and tail around
+    ``...``, as ``reprlib`` cuts every other echoed input."""
 
     def error(self, message: str) -> NoReturn:
+        if len(message) > 160:
+            message = f"{message[:100]}...{message[-57:]}"
         raise ValidationError(message)
 
 

@@ -66,7 +66,8 @@ class SimulationConfig:
     is the assumption under which the stated sampling distributions hold.
     ``d``, ``replicates`` and ``seed`` must be integers (a bool or a float
     is rejected, not truncated), ``sigma2_true`` a finite positive number,
-    and ``x`` and ``beta_true`` arrays of numbers.  A rejected value is
+    and ``x`` and ``beta_true`` arrays of numbers (a string or a bool in
+    them is rejected, though ``float`` would read it).  A rejected value is
     quoted in its ``reprlib`` abbreviation, so a message stays one short
     line at any input size.
     """
@@ -94,8 +95,10 @@ class SimulationConfig:
                 f"seed must satisfy 0 <= seed < 2**128, got {reprlib.repr(self.seed)}"
             )
         try:
-            x = np.array(self.x, dtype=float)
-            beta = np.array(self.beta_true, dtype=float)
+            x, beta = (np.array(a, dtype=object) for a in (self.x, self.beta_true))
+            if {*map(type, x.ravel()), *map(type, beta.ravel())} & {str, np.str_, bool, np.bool_}:
+                raise TypeError  # float() would read "1.5" and True as numbers
+            x, beta = x.astype(float), beta.astype(float)
         except (TypeError, ValueError):  # numpy's message echoes the value, at any length
             raise ValidationError("x and beta_true must be arrays of numbers") from None
         if x.ndim != 2:
@@ -185,11 +188,15 @@ def _replicate_seeker(seed: int) -> Callable[[int], np.random.Generator]:
     ``seek(r)`` sets the counter to ``[0, 0, r, 0]`` with an emptied buffer
     and returns the generator, now at the start of replicate r's stream.
     Each replicate's stream is non-overlapping, 2**128 counter steps apart.
+    The state is built once with plain lists, not the uint64 arrays the
+    getter returns: the setter stores the same words either way, and reads
+    lists without a numpy scalar per word, which is most of a seek's cost.
     """
     rng = np.random.Generator(np.random.Philox(key=seed))
-    state = rng.bit_generator.state
-    state.update(buffer_pos=4, has_uint32=0, uinteger=0)
-    counter = state["state"]["counter"]
+    counter = [0, 0, 0, 0]
+    key = rng.bit_generator.state["state"]["key"].tolist()
+    state = {"bit_generator": "Philox", "state": {"counter": counter, "key": key},
+             "buffer": [0, 0, 0, 0], "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
 
     def seek(index: int) -> np.random.Generator:
         counter[2] = index
@@ -229,10 +236,11 @@ def run_simulation(cfg: SimulationConfig) -> SimulationResult:
     seek = _replicate_seeker(cfg.seed)
     z = np.empty((max(1, BLOCK_VALUES // n), n))
     for start in range(0, reps, len(z)):
-        draws = z[: reps - start]
-        for r, out in enumerate(draws, start):
+        y = z[: reps - start]
+        for r, out in enumerate(y, start):
             seek(r).standard_normal(out=out)
-        y = mu + sd * draws
+        y *= sd  # in place: the bits of mu + sd * y, without its two temporaries
+        y += mu
         block = np.s_[start : start + len(y)]
         scores = np.matmul(f.u.T, y[..., None])[..., 0]
         beta_d_draws[block], rss_d_draws[block] = component_fit(f, y, scores, np.s_[:d])
@@ -280,41 +288,45 @@ def run_simulation(cfg: SimulationConfig) -> SimulationResult:
     return res
 
 
-def _z(observed: float, predicted: float, mcse: float, floor: float) -> float:
+def _row(claim: str, predicted: float, observed: float, mcse: float, floor: float,
+         asserted: bool = True) -> TheoryRow:
     # Rounding in the fit never reads as deviation: the MCSE is floored at its bound.
     scale = max(mcse, floor)
-    return (observed - predicted) / scale if scale > 0.0 else 0.0
+    z = (observed - predicted) / scale if scale > 0.0 else 0.0
+    return TheoryRow(claim, float(predicted), float(observed), float(mcse), z, asserted)
+
+
+def _rss_rows(res: SimulationResult) -> tuple[TheoryRow, TheoryRow]:
+    """The mean-RSS claim under the n-d dof constant (asserted) and the n-p one."""
+    return (
+        _row("mean_rss_d (n-d dof)", res.predicted_rss_nd_dof, res.mean_rss_d, res.mcse_rss_d,
+             res.z_floor_rss),
+        _row("mean_rss_d (n-p dof)", res.predicted_rss_np_dof, res.mean_rss_d, res.mcse_rss_d,
+             res.z_floor_rss, False),
+    )
 
 
 def theory_comparison(res: SimulationResult) -> list[TheoryRow]:
     """Tabulate every tracked claim as (predicted, observed, MCSE, z).
 
-    Each z-scored claim is one entry of a table of (claim, predicted,
-    observed, MCSE, z floor, asserted).  The n-p dof variants are included
-    as recorded (non-asserted) rows so the adjudication stays visible
-    without flagging an expected deviation.  The covariance claim is
-    summarized by its relative Frobenius distance (z is not applicable
+    Each z-scored claim is one ``_row(claim, predicted, observed, MCSE,
+    z floor, asserted)`` entry of the table.  The n-p dof variants are
+    included as recorded (non-asserted) rows so the adjudication stays
+    visible without flagging an expected deviation.  The covariance claim
+    is summarized by its relative Frobenius distance (z is not applicable
     there and is reported as nan); it is included only when the run had
     at least 1000 replicates.
     """
     cfg = res.config
     observed_bias = res.mean_sigma2_d - cfg.sigma2_true
-    table = [
-        *((f"mean_beta_d[{j}]", res.predicted_mean_beta_d[j], res.mean_beta_d[j],
-           res.mcse_beta_d[j], res.z_floor_beta_d[j], True) for j in range(cfg.p)),
-        ("mean_rss_d (n-d dof)", res.predicted_rss_nd_dof, res.mean_rss_d, res.mcse_rss_d,
-         res.z_floor_rss, True),
-        ("mean_rss_d (n-p dof)", res.predicted_rss_np_dof, res.mean_rss_d, res.mcse_rss_d,
-         res.z_floor_rss, False),
-        ("bias_sigma2_d (n-d dof)", res.predicted_bias_nd_dof, observed_bias,
-         res.mcse_sigma2_d, res.z_floor_rss, True),
-        ("bias_sigma2_d (n-p dof)", res.predicted_bias_np_dof, observed_bias,
-         res.mcse_sigma2_d, res.z_floor_rss, False),
-    ]
     rows = [
-        TheoryRow(claim, float(predicted), float(observed), float(mcse),
-                  _z(observed, predicted, mcse, floor), asserted)
-        for claim, predicted, observed, mcse, floor, asserted in table
+        *(_row(f"mean_beta_d[{j}]", res.predicted_mean_beta_d[j], res.mean_beta_d[j],
+               res.mcse_beta_d[j], res.z_floor_beta_d[j]) for j in range(cfg.p)),
+        *_rss_rows(res),
+        _row("bias_sigma2_d (n-d dof)", res.predicted_bias_nd_dof, observed_bias,
+             res.mcse_sigma2_d, res.z_floor_rss),
+        _row("bias_sigma2_d (n-p dof)", res.predicted_bias_np_dof, observed_bias,
+             res.mcse_sigma2_d, res.z_floor_rss, False),
     ]
     if cfg.replicates >= COVARIANCE_MIN_REPLICATES:
         dist = float(
@@ -330,17 +342,16 @@ def theory_comparison(res: SimulationResult) -> list[TheoryRow]:
 def adjudicate_rss_dof(res: SimulationResult) -> dict:
     """Which degrees-of-freedom variant does the simulated mean RSS back?
 
-    Compares the observed mean against both predictions and names the one
-    with the smaller absolute z-score.
+    Compares the observed mean against both predictions (the two mean-RSS
+    rows of :func:`theory_comparison`) and names the one with the smaller
+    absolute z-score.
     """
-    z_nd = _z(res.mean_rss_d, res.predicted_rss_nd_dof, res.mcse_rss_d, res.z_floor_rss)
-    z_np = _z(res.mean_rss_d, res.predicted_rss_np_dof, res.mcse_rss_d, res.z_floor_rss)
-    winner = "n-d" if abs(z_nd) <= abs(z_np) else "n-p"
+    nd, np_dof = _rss_rows(res)
     return {
-        "winner": winner,
-        "z_nd": z_nd,
-        "z_np": z_np,
-        "predicted_nd": res.predicted_rss_nd_dof,
-        "predicted_np": res.predicted_rss_np_dof,
-        "observed": res.mean_rss_d,
+        "winner": "n-d" if abs(nd.z) <= abs(np_dof.z) else "n-p",
+        "z_nd": nd.z,
+        "z_np": np_dof.z,
+        "predicted_nd": nd.predicted,
+        "predicted_np": np_dof.predicted,
+        "observed": nd.observed,
     }

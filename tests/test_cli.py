@@ -762,6 +762,19 @@ class TestBoundedEcho:
         assert err.startswith("pcreg: error: ") and err.count("\n") == 1
         assert len(err) <= 200 + len(str(tmp_path)), err[:300]
 
+    @pytest.mark.parametrize("argv", [
+        ["fit", "--input", "x.csv", "--response", "y", "--d", "x" * 100_000],
+        ["fit", "--input", "x.csv", "--response", "y", "--standardize", "q" * 100_000],
+        ["compare", "--input", "x.csv", "--response", "y", "--d", "2", "e" * 100_000],
+    ], ids=["invalid-int", "invalid-choice", "unrecognized"])
+    def test_a_usage_error_is_cut_short(self, argv):
+        # argparse quotes the bad argument whole; the line keeps its head,
+        # which names the argument, and its tail.
+        code, out, err = run_main(argv)
+        assert code == EXIT_USAGE and out == ""
+        assert err.startswith("pcreg: error: ") and err.count("\n") == 1
+        assert len(err) <= 200 and "..." in err, err[:300]
+
 
 class TestParserReuse:
     def test_a_flag_does_not_outlive_its_call(self, tmp_path):
@@ -856,6 +869,19 @@ class TestSimulate:
         code = main(["simulate", "--config", str(path)])
         assert code == EXIT_USAGE
         assert "replicates" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("field, value", [
+        ("x", [[str(v) for v in row] for row in np.random.default_rng(3).standard_normal((40, 3))]),
+        ("x", [[1.5, True, 0.0]] + [[0.5, -1.0, 2.0 + i] for i in range(39)]),
+        ("beta_true", ["1.0", 0.0, 0.0]),
+        ("beta_true", [1.0, False, 0.0]),
+    ], ids=["x-all-strings", "x-one-bool", "beta-string", "beta-bool"])
+    def test_numbers_written_otherwise_exit(self, tmp_path, capsys, field, value):
+        # float() reads "1.5" as 1.5 and True as 1.0; a config must write numbers.
+        path = write_sim_config(tmp_path, **{field: value})
+        code = main(["simulate", "--config", str(path)])
+        assert code == EXIT_USAGE
+        assert capsys.readouterr().err == "pcreg: error: x and beta_true must be arrays of numbers\n"
 
     @pytest.mark.parametrize(
         "field, value",

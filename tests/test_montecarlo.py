@@ -94,8 +94,10 @@ def reference_aggregates(cfg):
 
 
 class TestReplicateStreams:
-    @pytest.mark.parametrize("seed", [7, 2**128 - 1])
-    @pytest.mark.parametrize("r", [0, 1, 4999])
+    # Seed 2**64 has key words [0, 1], so a swapped or truncated key is caught;
+    # MAX_REPLICATES - 1 is the last counter a run can seek to.
+    @pytest.mark.parametrize("seed", [7, 2**128 - 1, 2**64])
+    @pytest.mark.parametrize("r", [0, 1, 4999, MAX_REPLICATES - 1])
     def test_counter_stream_is_the_jumped_stream(self, seed, r):
         a, b = _replicate_seeker(seed)(r), jumped_rng(seed, r)
         assert a.standard_normal(257).tobytes() == b.standard_normal(257).tobytes()
