@@ -6,7 +6,6 @@ checks, a seeded Monte Carlo harness for the expectation-level claims,
 and a CSV-driven command line (``pcreg``).
 """
 
-from importlib import resources
 from pathlib import Path
 
 from .diagnostics import (
@@ -56,7 +55,7 @@ __version__ = "0.1.0"
 
 def fixture_path() -> Path:
     """Path of the bundled synthetic electricity-style CSV fixture."""
-    return Path(str(resources.files(__package__) / "data" / "electricity_synthetic.csv"))
+    return Path(__file__).parent / "data" / "electricity_synthetic.csv"
 
 
 __all__ = [

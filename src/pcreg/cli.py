@@ -402,7 +402,7 @@ def compare_payload(data: Dataset, d: int, record: TransformRecord) -> dict:
             "loading_diag": report.loading_diag.tolist(),
             "exceeds_ols_d": report.exceeds_ols.tolist(),
             "exceeds_ols_k": exceeds_k.tolist(),
-            "bias_beta": report.bias_beta.tolist(),
+            "bias_beta": pcr.beta_k.tolist(),
             "bias_sigma2_plugin": report.bias_sigma2_plugin,
             "degenerate": report.degenerate,
         },

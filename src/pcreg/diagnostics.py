@@ -41,7 +41,6 @@ class CovarianceSet:
     omitted: np.ndarray
     scaled: np.ndarray | None
     difference: np.ndarray | None
-    degenerate: bool = False
 
 
 @dataclass(frozen=True)
@@ -59,7 +58,6 @@ class DiagnosticsReport:
     se_ols: np.ndarray
     se_pcr: np.ndarray
     exceeds_ols: np.ndarray
-    bias_beta: np.ndarray
     bias_sigma2_plugin: float
     covs: CovarianceSet
     degenerate: bool = False
@@ -92,20 +90,20 @@ def pcr_covariance(f: SvdFactors, ols: OlsEstimate, pcr: PcrEstimate) -> Covaria
     difference = {cov_ols - (sigma2 / sigma2_k) omitted} * (sigma2_d / sigma2)
 
     A zero OLS residual variance makes the ratios undefined, so only the
-    direct and omitted forms are returned, flagged degenerate.  At d = p
+    direct and omitted forms are returned.  At d = p
     the difference form is omitted (there is no omitted set), the omitted
     block is zero and direct = scaled = the OLS covariance.
     """
     direct = gram_pseudo_inverse(f, np.s_[: pcr.d]) * pcr.sigma2_d
     omitted = gram_pseudo_inverse(f, np.s_[pcr.d :]) * pcr.sigma2_k
     if ols.sigma2 < RATIO_GUARD:
-        return CovarianceSet(direct, omitted, scaled=None, difference=None, degenerate=True)
+        return CovarianceSet(direct, omitted, scaled=None, difference=None)
     ratio = pcr.sigma2_d / ols.sigma2
     scaled = ols.cov @ loading_projector(f, np.s_[: pcr.d]) * ratio
     if pcr.k == 0:
         return CovarianceSet(direct, omitted, scaled=scaled, difference=None)
     if pcr.sigma2_k < RATIO_GUARD:
-        return CovarianceSet(direct, omitted, scaled=scaled, difference=None, degenerate=True)
+        return CovarianceSet(direct, omitted, scaled=scaled, difference=None)
     difference = (ols.cov - (ols.sigma2 / pcr.sigma2_k) * omitted) * ratio
     return CovarianceSet(direct, omitted, scaled=scaled, difference=difference)
 
@@ -140,12 +138,12 @@ def build_report(f: SvdFactors, ols: OlsEstimate, pcr: PcrEstimate) -> Diagnosti
         ((n - p)/(n - d) - 1) sigma2 + (beta - beta_d)^T X^T X (beta - beta_d) / (n - d),
 
     collapses to ``sigma2_d - sigma2`` exactly (1e-10 relative); the
-    omitted-space slopes are the slope-bias estimate.
+    omitted-space slopes ``pcr.beta_k`` are the slope-bias estimate.
     """
     covs = pcr_covariance(f, ols, pcr)
     se_ols = np.sqrt(np.diag(ols.cov))
     se_pcr = np.sqrt(np.diag(covs.direct))
-    degenerate = ols.sigma2 < RATIO_GUARD
+    degenerate = covs.scaled is None  # pcr_covariance's guard on the OLS residual variance
     inflation = float("nan") if degenerate else pcr.sigma2_d / ols.sigma2
     # X^T X reconstructed from the factors for the plug-in bias.
     gram = (f.v * f.sigma**2) @ f.v.T
@@ -159,7 +157,6 @@ def build_report(f: SvdFactors, ols: OlsEstimate, pcr: PcrEstimate) -> Diagnosti
         se_ols=se_ols,
         se_pcr=se_pcr,
         exceeds_ols=se_pcr > se_ols,
-        bias_beta=pcr.beta_k.copy(),
         bias_sigma2_plugin=plugin,
         covs=covs,
         degenerate=degenerate,

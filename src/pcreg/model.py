@@ -148,15 +148,14 @@ def component_fit(
     ``beta = V_s Sigma_s^-1 U_s^T y`` and ``rss = |y - U_s U_s^T y|^2``, from
     ``scores = U^T y``.  ``y`` is one response (shape (n,)) or a stack of
     them (shape (..., n), with scores (..., p)); every item of a stack gets
-    the bits of the single-response call, since stacked ``matmul`` runs the
-    same BLAS kernel per item.  An empty ``cols`` gives zero slopes and
+    the bits of the single-response call, since ``matvec`` and ``vecdot``
+    run the same kernel per item.  An empty ``cols`` gives zero slopes and
     ``rss = |y|^2``.
     """
     s = scores[..., cols]
-    beta = np.matmul(f.v[:, cols], (s / f.sigma[cols])[..., None])[..., 0]
-    resid = y - np.matmul(f.u[:, cols], s[..., None])[..., 0]
-    rss = np.matmul(resid[..., None, :], resid[..., None])[..., 0, 0]
-    return beta, rss
+    beta = np.matvec(f.v[:, cols], s / f.sigma[cols])
+    resid = y - np.matvec(f.u[:, cols], s)
+    return beta, np.vecdot(resid, resid)
 
 
 def fit_ols(data: Dataset) -> OlsEstimate:

@@ -242,8 +242,9 @@ def run_simulation(cfg: SimulationConfig) -> SimulationResult:
         y *= sd  # in place: the bits of mu + sd * y, without its two temporaries
         y += mu
         block = np.s_[start : start + len(y)]
-        scores = np.matmul(f.u.T, y[..., None])[..., 0]
-        beta_d_draws[block], rss_d_draws[block] = component_fit(f, y, scores, np.s_[:d])
+        beta_d_draws[block], rss_d_draws[block] = component_fit(
+            f, y, np.matvec(f.u.T, y), np.s_[:d]
+        )
     sigma2_d_draws = rss_d_draws / (n - d)
 
     # Ground-truth decomposition of beta over retained/omitted loadings.
