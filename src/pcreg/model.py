@@ -26,7 +26,7 @@ class Dataset:
     The design matrix contains the intercept column when one is used; set
     ``intercept_included`` accordingly so downstream standardization can
     exempt it.  Construction validates that all values are finite, that
-    n > p, and (when flagged) that exactly one all-ones column exists and
+    1 <= p < n, and (when flagged) that exactly one all-ones column exists and
     sits first.  ``x`` and ``y`` are read-only copies of the inputs, so
     ``factors`` and ``scores``, computed on first use, stay theirs.
     """
@@ -39,15 +39,9 @@ class Dataset:
     def __post_init__(self) -> None:
         x = np.array(self.x, dtype=float)
         y = np.array(self.y, dtype=float)
-        if x.ndim != 2:
-            raise ValidationError(f"design matrix must be 2-d, got ndim={x.ndim}")
-        n, p = x.shape
+        n, p = design_shape(x)
         if y.shape != (n,):
             raise ValidationError(f"response must have shape ({n},), got {y.shape}")
-        if n <= p:
-            raise DegreesOfFreedomError(
-                f"need more observations than design columns: n={n}, p={p}"
-            )
         if not (np.all(np.isfinite(x)) and np.all(np.isfinite(y))):
             raise ValidationError("dataset contains non-finite values")
         if self.names is None:
@@ -131,6 +125,18 @@ class PcrEstimate:
     def k(self) -> int:
         """Number of omitted (trailing) components, ``p - d``."""
         return self.beta_pc_k.size
+
+
+def design_shape(x: np.ndarray) -> tuple[int, int]:
+    """``(n, p)`` of the design ``x``, which must be 2-d with 1 <= p < n."""
+    if x.ndim != 2:
+        raise ValidationError(f"design matrix must be 2-d, got ndim={x.ndim}")
+    n, p = x.shape
+    if p == 0:
+        raise ValidationError("design has no columns")
+    if n <= p:
+        raise DegreesOfFreedomError(f"need more observations than design columns: n={n}, p={p}")
+    return n, p
 
 
 def checked_factors(x: np.ndarray) -> SvdFactors:

@@ -39,9 +39,9 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .errors import DegreesOfFreedomError, ValidationError
+from .errors import ValidationError
 from .linalg import gram_pseudo_inverse
-from .model import checked_factors, component_fit
+from .model import checked_factors, component_fit, design_shape
 
 GENERATOR_NAME = "numpy-philox-jumped-per-replicate"
 
@@ -66,10 +66,11 @@ class SimulationConfig:
     is the assumption under which the stated sampling distributions hold.
     ``d``, ``replicates`` and ``seed`` must be integers (a bool or a float
     is rejected, not truncated), ``sigma2_true`` a finite positive number,
-    and ``x`` and ``beta_true`` arrays of numbers (a string or a bool in
-    them is rejected, though ``float`` would read it).  A rejected value is
-    quoted in its ``reprlib`` abbreviation, so a message stays one short
-    line at any input size.
+    and ``x`` and ``beta_true`` arrays of numbers (a string, a bool or a
+    null in them is rejected, though ``float`` would read it), with a
+    design of 1 <= p < n columns.  A rejected value is quoted in its
+    ``reprlib`` abbreviation, so a message stays one short line at any
+    input size.
     """
 
     x: np.ndarray
@@ -96,18 +97,13 @@ class SimulationConfig:
             )
         try:
             x, beta = (np.array(a, dtype=object) for a in (self.x, self.beta_true))
-            if {*map(type, x.ravel()), *map(type, beta.ravel())} & {str, np.str_, bool, np.bool_}:
-                raise TypeError  # float() would read "1.5" and True as numbers
+            types = {*map(type, x.ravel()), *map(type, beta.ravel())}
+            if types & {str, np.str_, bool, np.bool_, type(None)}:
+                raise TypeError  # float() would read "1.5" and True as numbers, None as nan
             x, beta = x.astype(float), beta.astype(float)
         except (TypeError, ValueError):  # numpy's message echoes the value, at any length
             raise ValidationError("x and beta_true must be arrays of numbers") from None
-        if x.ndim != 2:
-            raise ValidationError(f"design must be 2-d, got ndim={x.ndim}")
-        n, p = x.shape
-        if n <= p:
-            raise DegreesOfFreedomError(
-                f"need more observations than design columns: n={n}, p={p}"
-            )
+        _, p = design_shape(x)
         if beta.shape != (p,):
             raise ValidationError(f"beta_true must have shape ({p},), got {beta.shape}")
         if not (np.all(np.isfinite(x)) and np.all(np.isfinite(beta))):
@@ -170,8 +166,8 @@ class TheoryRow:
 
     ``asserted`` rows are claims the theory says must match (alerting
     material); recorded rows exist for side-by-side comparison, like the
-    n-p dof variant, and deviate by design whenever signal sits on the
-    omitted components.
+    n-p dof variant, which deviates by design whenever signal sits on the
+    omitted components, and the covariance summary, which has no z.
     """
 
     claim: str
@@ -314,9 +310,9 @@ def theory_comparison(res: SimulationResult) -> list[TheoryRow]:
     z floor, asserted)`` entry of the table.  The n-p dof variants are
     included as recorded (non-asserted) rows so the adjudication stays
     visible without flagging an expected deviation.  The covariance claim
-    is summarized by its relative Frobenius distance (z is not applicable
-    there and is reported as nan); it is included only when the run had
-    at least 1000 replicates.
+    is summarized by its relative Frobenius distance, a recorded row (z is
+    not applicable there and is reported as nan); it is included only
+    when the run had at least 1000 replicates.
     """
     cfg = res.config
     observed_bias = res.mean_sigma2_d - cfg.sigma2_true
@@ -335,7 +331,8 @@ def theory_comparison(res: SimulationResult) -> list[TheoryRow]:
             / np.linalg.norm(res.predicted_cov)
         )
         rows.append(
-            TheoryRow("cov_beta_d relative Frobenius distance", 0.0, dist, math.nan, math.nan)
+            TheoryRow("cov_beta_d relative Frobenius distance", 0.0, dist, math.nan, math.nan,
+                      False)
         )
     return rows
 

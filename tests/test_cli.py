@@ -569,6 +569,14 @@ class TestMainExitCodes:
                      "--d", "1", "--no-intercept"])
         assert code == EXIT_RANK
 
+    def test_design_without_columns_exit(self, tmp_path, capsys):
+        # Only the response, and no intercept: the design has no columns.
+        path = tmp_path / "y.csv"
+        path.write_text("y\n1\n2\n3\n", encoding="utf-8")
+        code = main(["fit", "--input", str(path), "--response", "y", "--no-intercept"])
+        assert code == EXIT_USAGE
+        assert capsys.readouterr().err == "pcreg: error: design has no columns\n"
+
     @pytest.mark.parametrize("command", ["fit", "compare"])
     def test_many_near_zero_components_are_counted_on_one_line(self, tmp_path, capsys,
                                                                command):
@@ -819,6 +827,19 @@ class TestParserReuse:
         assert build_parser() is not build_parser()
 
 
+class TestImportSurface:
+    def test_cli_import_loads_no_importlib_resources(self):
+        # -I -S: no site, so no .pth file imports anything first; the path
+        # holds only pcreg's source and numpy's parent directory.
+        paths = [str(Path(m.__file__).resolve().parents[1]) for m in (pcreg, np)]
+        probe = (f"import sys; sys.path[:0] = {paths!r}\n"
+                 "import pcreg.cli\n"
+                 "print('importlib.resources' in sys.modules, pcreg.fixture_path().is_file())")
+        done = subprocess.run([sys.executable, "-I", "-S", "-c", probe], capture_output=True,
+                              text=True, timeout=120)
+        assert done.stdout.split() == ["False", "True"], done.stderr
+
+
 class TestSimulate:
     def test_missing_field_reports_path_and_field(self, tmp_path):
         path = tmp_path / "sim.json"
@@ -875,9 +896,13 @@ class TestSimulate:
         ("x", [[1.5, True, 0.0]] + [[0.5, -1.0, 2.0 + i] for i in range(39)]),
         ("beta_true", ["1.0", 0.0, 0.0]),
         ("beta_true", [1.0, False, 0.0]),
-    ], ids=["x-all-strings", "x-one-bool", "beta-string", "beta-bool"])
+        ("x", [[1.5, None, 0.0]] + [[0.5, -1.0, 2.0 + i] for i in range(39)]),
+        ("beta_true", [None, 0.0, 0.0]),
+    ], ids=["x-all-strings", "x-one-bool", "beta-string", "beta-bool", "x-one-null",
+            "beta-null"])
     def test_numbers_written_otherwise_exit(self, tmp_path, capsys, field, value):
-        # float() reads "1.5" as 1.5 and True as 1.0; a config must write numbers.
+        # float() reads "1.5" as 1.5, True as 1.0 and None (JSON null) as nan;
+        # a config must write numbers.
         path = write_sim_config(tmp_path, **{field: value})
         code = main(["simulate", "--config", str(path)])
         assert code == EXIT_USAGE
@@ -975,6 +1000,11 @@ class TestSimulate:
         for claim, z in after.items():
             assert z == pytest.approx(before[claim] - 10, rel=1e-12), claim
             assert abs(z) > 4, claim
+
+    def test_design_without_columns_exit(self, tmp_path, capsys):
+        path = write_sim_config(tmp_path, x=[[], [], []], beta_true=[], d=1)
+        assert main(["simulate", "--config", str(path)]) == EXIT_USAGE
+        assert capsys.readouterr().err == "pcreg: error: design has no columns\n"
 
     def test_too_few_observations_exit(self, tmp_path, capsys):
         path = write_sim_config(tmp_path, x=[[1.0, 0.0], [0.0, 1.0]], beta_true=[1.0, 0.0], d=1)

@@ -14,6 +14,7 @@ from pcreg.linalg import svd_thin
 from pcreg.model import Dataset, fit_pcr
 from pcreg.montecarlo import (
     BLOCK_VALUES,
+    COVARIANCE_MIN_REPLICATES,
     MAX_REPLICATES,
     SimulationConfig,
     _replicate_seeker,
@@ -232,6 +233,10 @@ class TestTheoryComparison:
         assert roles["mean_rss_d (n-d dof)"] is True
         assert roles["mean_rss_d (n-p dof)"] is False
         assert roles["bias_sigma2_d (n-p dof)"] is False
+        # The covariance summary has no z, so it can never alert: it is recorded.
+        res = run_simulation(config(replicates=COVARIANCE_MIN_REPLICATES))
+        roles = {row.claim: row.asserted for row in theory_comparison(res)}
+        assert roles["cov_beta_d relative Frobenius distance"] is False
 
     def test_adjudication_prefers_nd_dof(self):
         # truth placed on the omitted components so the two predictions
