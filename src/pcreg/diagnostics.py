@@ -90,9 +90,9 @@ def pcr_covariance(f: SvdFactors, ols: OlsEstimate, pcr: PcrEstimate) -> Covaria
     difference = {cov_ols - (sigma2 / sigma2_k) omitted} * (sigma2_d / sigma2)
 
     A zero OLS residual variance makes the ratios undefined, so only the
-    direct and omitted forms are returned.  At d = p
-    the difference form is omitted (there is no omitted set), the omitted
-    block is zero and direct = scaled = the OLS covariance.
+    direct and omitted forms are returned.  At d = p the difference form
+    is omitted (there is no omitted set), the omitted block is zero and
+    direct = scaled = the OLS covariance.
     """
     direct = gram_pseudo_inverse(f, np.s_[: pcr.d]) * pcr.sigma2_d
     omitted = gram_pseudo_inverse(f, np.s_[pcr.d :]) * pcr.sigma2_k

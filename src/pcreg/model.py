@@ -26,8 +26,8 @@ class Dataset:
     The design matrix contains the intercept column when one is used; set
     ``intercept_included`` accordingly so downstream standardization can
     exempt it.  Construction validates that all values are finite, that
-    1 <= p < n, and (when flagged) that exactly one all-ones column exists and
-    sits first.  ``x`` and ``y`` are read-only copies of the inputs, so
+    1 <= p < n, and (when flagged) that exactly one all-ones column exists
+    and sits first.  ``x`` and ``y`` are read-only copies of the inputs, so
     ``factors`` and ``scores``, computed on first use, stay theirs.
     """
 

@@ -332,7 +332,7 @@ def theory_comparison(res: SimulationResult) -> list[TheoryRow]:
         )
         rows.append(
             TheoryRow("cov_beta_d relative Frobenius distance", 0.0, dist, math.nan, math.nan,
-                      False)
+                      asserted=False)
         )
     return rows
 

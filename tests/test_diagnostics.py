@@ -102,8 +102,9 @@ class TestVarianceRecomposition:
 
 class TestBiasReport:
     def test_toy_plugin(self, toy_fits):
-        report = build_report(*toy_fits)
-        np.testing.assert_allclose(toy_fits[2].beta_k, [1.0, 0.0], atol=1e-12)
+        f, ols, pcr = toy_fits
+        report = build_report(f, ols, pcr)
+        np.testing.assert_allclose(pcr.beta_k, [1.0, 0.0], atol=1e-12)
         assert abs(report.bias_sigma2_plugin - (-4.0)) <= 1e-12
 
     def test_full_d_bias_vanishes(self):
