@@ -552,12 +552,12 @@ def render_simulate_table(payload: dict) -> str:
         for row in payload["rows"]
     ]
     table = _render_table(["claim", "predicted", "observed", "mcse", "z", "role"], rows)
-    adj = payload["adjudication"]
+    z = {row["claim"]: row["z"] for row in payload["rows"]}
     footer = [
         f"replicates = {payload['config']['replicates']}, seed = {payload['config']['seed']}, "
         f"generator = {payload['config']['generator']}",
-        f"rss dof adjudication: winner = {adj['winner']} "
-        f"(z_nd = {adj['z_nd']:+.3f}, z_np = {adj['z_np']:+.3f})",
+        f"rss dof adjudication: winner = {payload['adjudication']['winner']} "
+        f"(z_nd = {z['mean_rss_d (n-d dof)']:+.3f}, z_np = {z['mean_rss_d (n-p dof)']:+.3f})",
         f"alert = {payload['alert']}",
     ]
     return table + "\n" + "\n".join(footer) + "\n"

@@ -15,18 +15,21 @@ on the omitted components; the expected plug-in variance
 check, not the slopes' spread.  Every z-scored claim is one entry of the
 claim table in :func:`theory_comparison`.
 
-Replicate streams come from a counter-based generator (numpy Philox):
-replicate r uses the key ``seed`` with the counter set to ``[0, 0, r, 0]``,
-the state that ``Philox(key=seed).jumped(r)`` reaches, from one generator
-per run, seeked per replicate.
-Results depend only on ``(seed, replicate)`` and never on execution
-order; aggregation reduces over replicate-indexed arrays, keeping output
-bits independent of any parallel scheduling of the replicates themselves.
+Replicate streams come from a counter-based generator (numpy Philox),
+keyed per block of ``STREAM_BLOCK`` = 64 replicates: stream block b uses
+the key ``seed`` with the counter set to ``[0, 0, b, 0]``, the state that
+``Philox(key=seed).jumped(b)`` reaches, and replicate r's errors are row
+r mod 64 of the 64 x n standard normals drawn from block r // 64.  One
+generator is built per run and seeked once per stream block.
+Results depend only on ``(seed, replicate)`` and the constant 64, never on
+execution order or block sizes; aggregation reduces over replicate-indexed
+arrays, keeping output bits independent of any parallel scheduling of the
+stream blocks themselves.
 The design is factored and checked for full column rank once per run.
 Replicates are drawn and fitted in blocks, each block of responses in one
 call of :func:`pcreg.model.component_fit`, the kernel of ``fit_pcr``; a
-block holds about ``BLOCK_VALUES`` doubles, so memory per block is bounded
-at any n and replicate count.
+block holds at most ``BLOCK_VALUES`` doubles (one row where n is larger),
+so memory per block is bounded at any replicate count.
 """
 
 from __future__ import annotations
@@ -43,17 +46,20 @@ from .errors import ValidationError
 from .linalg import gram_pseudo_inverse
 from .model import checked_factors, component_fit, design_shape
 
-GENERATOR_NAME = "numpy-philox-jumped-per-replicate"
+# Replicate r is row r % STREAM_BLOCK of stream block r // STREAM_BLOCK.
+STREAM_BLOCK = 64
+GENERATOR_NAME = "numpy-philox-jumped-per-{}-replicates".format(STREAM_BLOCK)
 
 MIN_REPLICATES = 100
-# Bounds the run time and the draw arrays; keeps the counter word below 2**64.
+# Bounds the run time and the draw arrays; keeps the counter word r // 64 below 2**64.
 MAX_REPLICATES = 10**6
 # Philox keys are 128-bit.
 SEED_LIMIT = 2**128
 # Covariance rows need enough replicates for a meaningful matrix estimate.
 COVARIANCE_MIN_REPLICATES = 1000
-# Replicates are drawn and fitted in blocks of max(1, BLOCK_VALUES // n), so
-# a block holds about this many doubles per array at any n.
+# Replicates are drawn and fitted in blocks of the largest power of two up to
+# max(1, BLOCK_VALUES // n) rows, at most STREAM_BLOCK, so a block holds at most
+# this many doubles per array wherever n <= BLOCK_VALUES.
 BLOCK_VALUES = 2**14
 
 
@@ -179,11 +185,12 @@ class TheoryRow:
 
 
 def _replicate_seeker(seed: int) -> Callable[[int], np.random.Generator]:
-    """One Philox(key=seed) generator and the function that seeks it to a replicate.
+    """One Philox(key=seed) generator and the function that seeks it to a stream.
 
-    ``seek(r)`` sets the counter to ``[0, 0, r, 0]`` with an emptied buffer
-    and returns the generator, now at the start of replicate r's stream.
-    Each replicate's stream is non-overlapping, 2**128 counter steps apart.
+    ``seek(b)`` sets the counter to ``[0, 0, b, 0]`` with an emptied buffer
+    and returns the generator, now at the start of stream b, which
+    ``run_simulation`` draws block b of ``STREAM_BLOCK`` replicates from.
+    The streams are non-overlapping, 2**128 counter steps apart.
     The state is built once with plain lists, not the uint64 arrays the
     getter returns: the setter stores the same words either way, and reads
     lists without a numpy scalar per word, which is most of a seek's cost.
@@ -207,10 +214,13 @@ def run_simulation(cfg: SimulationConfig) -> SimulationResult:
     """Run the configured replicates and aggregate.
 
     The design is factored and checked for full column rank once
-    (RankDeficiencyError otherwise), and one generator is built.  Per
-    replicate r that generator is seeked to the counter-addressed (seed, r)
-    stream and the error vector drawn from it into one preallocated block
-    of max(1, BLOCK_VALUES // n) rows.  Each block of responses is fitted
+    (RankDeficiencyError otherwise), and one generator is built.  Replicate
+    r's errors are row r mod ``STREAM_BLOCK`` of stream block
+    r // ``STREAM_BLOCK``: the generator is seeked to the counter-addressed
+    (seed, r // 64) stream once per stream block, and each fit block, a
+    power of two rows that lies inside one stream block, is one
+    ``standard_normal`` call continuing it, so the draws are the same at
+    any fit-block size.  Each block of responses is fitted
     with one ``component_fit`` call, the kernel ``fit_pcr`` uses, so every
     replicate's retained slopes and residual sum of squares carry the bits
     of its ``fit_pcr`` fit; only these are computed.  The predictions
@@ -230,11 +240,13 @@ def run_simulation(cfg: SimulationConfig) -> SimulationResult:
     rss_d_draws = np.empty(reps)
     beta_d_draws = np.empty((reps, p))
     seek = _replicate_seeker(cfg.seed)
-    z = np.empty((max(1, BLOCK_VALUES // n), n))
+    # A power of two up to STREAM_BLOCK rows, so each fit block lies inside one stream block.
+    z = np.empty((min(STREAM_BLOCK, 1 << (max(1, BLOCK_VALUES // n).bit_length() - 1)), n))
     for start in range(0, reps, len(z)):
+        if start % STREAM_BLOCK == 0:
+            rng = seek(start // STREAM_BLOCK)
         y = z[: reps - start]
-        for r, out in enumerate(y, start):
-            seek(r).standard_normal(out=out)
+        rng.standard_normal(out=y)  # the next len(y) rows of the current stream block
         y *= sd  # in place: the bits of mu + sd * y, without its two temporaries
         y += mu
         block = np.s_[start : start + len(y)]
@@ -342,14 +354,8 @@ def adjudicate_rss_dof(res: SimulationResult) -> dict:
 
     Compares the observed mean against both predictions (the two mean-RSS
     rows of :func:`theory_comparison`) and names the one with the smaller
-    absolute z-score.
+    absolute z-score.  Those rows carry the predictions, the observed mean
+    and both z-scores; only the verdict is returned here.
     """
     nd, np_dof = _rss_rows(res)
-    return {
-        "winner": "n-d" if abs(nd.z) <= abs(np_dof.z) else "n-p",
-        "z_nd": nd.z,
-        "z_np": np_dof.z,
-        "predicted_nd": nd.predicted,
-        "predicted_np": np_dof.predicted,
-        "observed": nd.observed,
-    }
+    return {"winner": "n-d" if abs(nd.z) <= abs(np_dof.z) else "n-p"}

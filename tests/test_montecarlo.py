@@ -5,6 +5,7 @@ acceptance live in test_acceptance.py.
 """
 
 import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -12,12 +13,15 @@ import pytest
 from pcreg.errors import ValidationError
 from pcreg.linalg import svd_thin
 from pcreg.model import Dataset, fit_pcr
+from pcreg import montecarlo
 from pcreg.montecarlo import (
     BLOCK_VALUES,
     COVARIANCE_MIN_REPLICATES,
     MAX_REPLICATES,
+    STREAM_BLOCK,
     SimulationConfig,
     _replicate_seeker,
+    _rss_rows,
     adjudicate_rss_dof,
     run_simulation,
     theory_comparison,
@@ -71,14 +75,16 @@ def jumped_rng(seed, r):
 
 
 def reference_aggregates(cfg):
-    """The replicate loop through Dataset and fit_pcr, on jumped Philox streams."""
+    """The replicate loop through Dataset and fit_pcr, on jumped Philox streams.
+
+    Replicate r's errors are row r mod 64 of the 64 x n block drawn from the
+    stream ``Philox(key=seed).jumped(r // 64)``.
+    """
     mu = cfg.x @ cfg.beta_true
     sd = math.sqrt(cfg.sigma2_true)
-    fits = [
-        fit_pcr(Dataset(y=mu + sd * jumped_rng(cfg.seed, r).standard_normal(cfg.n), x=cfg.x),
-                cfg.d)
-        for r in range(cfg.replicates)
-    ]
+    errors = [jumped_rng(cfg.seed, r // 64).standard_normal((64, cfg.n))[r % 64]
+              for r in range(cfg.replicates)]
+    fits = [fit_pcr(Dataset(y=mu + sd * e, x=cfg.x), cfg.d) for e in errors]
     sigma2 = np.array([fit.sigma2_d for fit in fits])
     rss = np.array([fit.rss_d for fit in fits])
     beta = np.array([fit.beta_d for fit in fits])
@@ -160,14 +166,52 @@ class TestReplicateStreams:
         ids=["150x5-d2-R300", "1000x50-d10-R100"],
     )
     def test_blocks_match_the_dataset_fit_pcr_loop(self, cfg):
-        # Full blocks and a partial last one; R = 300 at n = 150 is blocks of
-        # 109, 109 and 82 replicates.
-        rows = max(1, BLOCK_VALUES // cfg.n)
+        # Full blocks and a partial last one.  R = 300 at n = 150 is 64-row
+        # blocks, one per stream block, and a last one of 44 replicates; at
+        # n = 1000 the fit blocks hold 16 rows, four to a stream block, so the
+        # second stream block is drawn in pieces and ends in a 4-row block.
+        rows = min(STREAM_BLOCK, 1 << (max(1, BLOCK_VALUES // cfg.n).bit_length() - 1))
         assert rows < cfg.replicates and cfg.replicates % rows
         res, ref = run_simulation(cfg), reference_aggregates(cfg)
         for name, expected in ref.items():
             got = np.asarray(getattr(res, name), dtype=float)
             assert got.tobytes() == np.asarray(expected, dtype=float).tobytes(), name
+
+    @pytest.mark.parametrize("n", [20, 150, 1000])
+    def test_replicate_drawn_alone_is_its_row_in_a_full_run(self, n, monkeypatch):
+        cfg = config(x=design(n, n, 3), beta_true=np.array([1.0, -0.5, 2.0]), sigma2_true=2.0,
+                     replicates=150, seed=2**64 + n)
+        responses = []
+        fit = montecarlo.component_fit
+
+        def recording_fit(f, y, *args):
+            responses.append(y.copy())
+            return fit(f, y, *args)
+
+        monkeypatch.setattr(montecarlo, "component_fit", recording_fit)
+        run_simulation(cfg)
+        responses = np.concatenate(responses)
+        assert responses.shape == (cfg.replicates, n)
+        mu, sd = cfg.x @ cfg.beta_true, math.sqrt(cfg.sigma2_true)
+        for r in (0, 63, 64, cfg.replicates - 1):
+            rng = _replicate_seeker(cfg.seed)(r // 64)
+            rng.standard_normal((r % 64, n))  # the rows before r in its stream block
+            alone = mu + sd * rng.standard_normal(n)
+            assert alone.tobytes() == responses[r].tobytes(), r
+
+    @pytest.mark.parametrize("n", [150, 1000])
+    def test_aggregates_do_not_depend_on_the_fit_block_size(self, n, monkeypatch):
+        cfg = config(x=design(n, n, 3), beta_true=np.array([1.0, -0.5, 2.0]), replicates=150,
+                     seed=n)
+        results = []
+        for values in (2**10, 2**14, 2**20):
+            monkeypatch.setattr(montecarlo, "BLOCK_VALUES", values)
+            results.append(run_simulation(cfg))
+        for field in fields(results[0]):
+            if field.name == "config":
+                continue
+            first, *rest = (np.asarray(getattr(res, field.name)).tobytes() for res in results)
+            assert all(other == first for other in rest), field.name
 
 
 class TestRunSimulation:
@@ -241,10 +285,11 @@ class TestTheoryComparison:
     def test_adjudication_prefers_nd_dof(self):
         # truth placed on the omitted components so the two predictions
         # separate by sigma2 * (p - d); the trace-derived n-d form should win
-        adj = adjudicate_rss_dof(run_simulation(omitted_truth_config()))
-        assert adj["winner"] == "n-d"
-        assert abs(adj["z_nd"]) <= 4.0
-        assert abs(adj["z_np"]) > 4.0
+        res = run_simulation(omitted_truth_config())
+        nd, np_dof = _rss_rows(res)
+        assert adjudicate_rss_dof(res) == {"winner": "n-d"}
+        assert abs(nd.z) <= 4.0
+        assert abs(np_dof.z) > 4.0
 
     def test_slope_covariance_with_truth_on_the_omitted_components(self):
         # beta_d = V_d S_d^-1 U_d^T y has covariance sigma2 V_d S_d^-2 V_d^T in a
