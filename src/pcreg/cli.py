@@ -348,7 +348,16 @@ def fit_payload(data: Dataset, d: int | None, record: TransformRecord) -> dict:
 
 
 def compare_payload(data: Dataset, d: int, record: TransformRecord) -> dict:
-    """Full OLS / retained / omitted comparison with identity residuals."""
+    """Full OLS / retained / omitted comparison with identity residuals.
+
+    ``covariances`` prints each slope covariance once: ``ols``, the
+    retained block's direct form ``pcr_direct`` and the omitted block
+    ``pcr_k``.  The scaled and difference forms of the retained block
+    equal ``pcr_direct`` by contract, so they are computed but not
+    printed: ``residuals.covariance_agreement`` reports how closely the
+    forms agree and ``residuals.variance_recomposition`` checks the
+    identity behind the difference form.
+    """
     ols = fit_ols(data)
     pcr = fit_pcr(data, d)
     report = build_report(data.factors, ols, pcr)
@@ -393,8 +402,6 @@ def compare_payload(data: Dataset, d: int, record: TransformRecord) -> dict:
         "covariances": {
             "ols": ols.cov.tolist(),
             "pcr_direct": covs.direct.tolist(),
-            "pcr_scaled": None if covs.scaled is None else covs.scaled.tolist(),
-            "pcr_difference": None if covs.difference is None else covs.difference.tolist(),
             "pcr_k": covs.omitted.tolist(),
         },
         "diagnostics": {

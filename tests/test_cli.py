@@ -39,8 +39,9 @@ from pcreg.cli import (
     standardize,
     _lines,
 )
+from pcreg.diagnostics import covariance_agreement, pcr_covariance, variance_recomposition_check
 from pcreg.errors import DataFormatError, DegreesOfFreedomError, PcregError, ValidationError
-from pcreg.model import Dataset, fit_ols
+from pcreg.model import Dataset, fit_ols, fit_pcr
 from pcreg.montecarlo import MAX_REPLICATES, run_simulation, theory_comparison
 
 TOY_CSV = "y,a,b\n1,1,0\n2,0,2\n3,0,0\n"
@@ -434,7 +435,8 @@ class TestComparePayload:
         payload = compare_payload(data, 2, record)
         assert payload["estimates"]["pcr_d"] == payload["estimates"]["ols"]
         assert payload["estimates"]["pcr_k"] == [0.0, 0.0]
-        assert payload["covariances"]["pcr_difference"] is None
+        assert set(payload["covariances"]) == {"ols", "pcr_direct", "pcr_k"}
+        assert payload["residuals"]["variance_recomposition"] is None
         assert payload["diagnostics"]["exceeds_ols_d"] == [False, False]
         # On the near-collinear fixture too, d = p reproduces OLS exactly,
         # so no coefficient is flagged by a rounding difference.
@@ -444,6 +446,21 @@ class TestComparePayload:
             assert payload["estimates"]["pcr_d"] == payload["estimates"]["ols"]
             assert payload["standard_errors"]["pcr_d"] == payload["standard_errors"]["ols"]
             assert not any(payload["diagnostics"]["exceeds_ols_d"]), mode
+
+    @pytest.mark.parametrize("mode", ["none", "center", "zscore"])
+    def test_each_covariance_printed_once_and_every_form_checked(self, mode):
+        # The scaled and difference forms equal pcr_direct by contract, so
+        # only the residuals that compare them are printed; both forms are
+        # still computed and feed those residuals.
+        data, record = standardize(load_csv(fixture_path(), "cost"), mode)
+        payload = compare_payload(data, 3, record)
+        assert set(payload["covariances"]) == {"ols", "pcr_direct", "pcr_k"}
+        ols, pcr = fit_ols(data), fit_pcr(data, 3)
+        covs = pcr_covariance(data.factors, ols, pcr)
+        assert covs.scaled is not None and covs.difference is not None
+        assert payload["residuals"]["covariance_agreement"] == covariance_agreement(covs)
+        assert payload["residuals"]["variance_recomposition"] == variance_recomposition_check(
+            ols, pcr, covs)
 
 
 def json_reference(value):

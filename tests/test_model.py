@@ -26,7 +26,7 @@ from pcreg.model import (
     recover_ols_sigma2,
     sigma2_d_three_forms,
 )
-from pcreg.montecarlo import BLOCK_VALUES
+from pcreg.montecarlo import BLOCK_VALUES, STREAM_BLOCK
 
 TOY_X = np.array([[1.0, 0.0], [0.0, 2.0], [0.0, 0.0]])
 TOY_Y = np.array([1.0, 2.0, 3.0])
@@ -274,14 +274,15 @@ class TestComponentFit:
     def test_stack_matches_the_single_response_products(self, n, p, d):
         # Bit equality of a stacked matmul item and the 1-d product is a
         # numpy/BLAS property that simulate's blocks rely on; a release
-        # that breaks it fails here.  Stacks just under one simulate block
-        # and just over one, on columns scaled over 6 decades.
+        # that breaks it fails here.  Stacks one row under and one over
+        # run_simulation's fit block at this n (a power of two, at most
+        # STREAM_BLOCK rows), on columns scaled over 6 decades.
         rng = np.random.default_rng(n * 100 + p * 10 + d)
         f = checked_factors(rng.standard_normal((n, p)) * np.logspace(0.0, -6.0, p))
-        rows = max(1, BLOCK_VALUES // n)
-        for reps in (max(1, rows - 1), rows + 2):
+        block = min(STREAM_BLOCK, 1 << (max(1, BLOCK_VALUES // n).bit_length() - 1))
+        for reps in (block - 1, block + 1):
             y = rng.standard_normal((reps, n)) * 3.0 + 1.0
-            scores = np.matmul(f.u.T, y[..., None])[..., 0]
+            scores = np.matvec(f.u.T, y)
             for cols in (np.s_[:d], np.s_[d:], np.s_[:]):
                 beta, rss = component_fit(f, y, scores, cols)
                 assert beta.shape == (reps, p) and rss.shape == (reps,)

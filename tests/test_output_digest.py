@@ -38,15 +38,18 @@ def test_every_benchmark_output_exits_zero():
                          ids=["identical", "changed"])
 def test_two_checkouts_exit_status(tmp_path, edit, status, identical):
     # A copy of this tree, with the generator name that both simulate-mc
-    # outputs print changed or not.
+    # outputs print changed or not.  The edit is a line appended to the
+    # module, so it does not depend on how the name's own line is spelled;
+    # cli imports the name after the module has run to its end.
     other = tmp_path / "other"
     for part in ("src", "perfbench"):
         shutil.copytree(ROOT / part, other / part, ignore=shutil.ignore_patterns("__pycache__"))
     if edit:
         module = other / "src" / "pcreg" / "montecarlo.py"
         text = module.read_text(encoding="utf-8")
-        module.write_text(text.replace('GENERATOR_NAME = "', 'GENERATOR_NAME = "edited-'),
+        module.write_text(text + '\nGENERATOR_NAME = "edited-" + GENERATOR_NAME\n',
                           encoding="utf-8")
+        assert module.read_text(encoding="utf-8") != text
     done = subprocess.run([sys.executable, str(TOOL), str(ROOT), str(other)],
                           capture_output=True, text=True, timeout=300)
     assert done.returncode == status, done.stderr
