@@ -102,7 +102,8 @@ def load_csv(path: str | Path, response: str, add_intercept: bool = True) -> Dat
     by the physical line it ends on.
     The response column is excluded from the design; remaining columns
     keep file order, with an all-ones Intercept column prepended when
-    ``add_intercept`` is set.
+    ``add_intercept`` is set; a design column of that name is then an
+    error.
     """
     path = Path(path)
     try:
@@ -136,6 +137,9 @@ def load_csv(path: str | Path, response: str, add_intercept: bool = True) -> Dat
     x = values[:, keep]
     names = [header[j] for j in keep]
     if add_intercept:
+        if "Intercept" in names:
+            raise DataFormatError(f"{path}: line 1: column 'Intercept' clashes with the added "
+                                  "intercept; rename it or pass --no-intercept")
         x = np.column_stack([np.ones(x.shape[0]), x])
         names = ["Intercept"] + names
     return Dataset(y=y, x=x, names=tuple(names), intercept_included=add_intercept)

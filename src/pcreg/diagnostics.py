@@ -3,22 +3,23 @@
 Three equivalent covariance formulations for the retained-component slope
 estimator, the recomposition identity splitting the OLS covariance into
 retained and omitted contributions, and the bias ledger comparing the two
-residual variance estimates.
+residual variance estimates.  A residual variance is divided by only when
+it is a normal double: a subnormal one has lost relative precision, so a
+ratio built on it would be silently wrong, and the forms and ratios that
+need it are left out instead.
 """
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
+from itertools import combinations
 
 import numpy as np
 
 from .errors import ValidationError
 from .linalg import SvdFactors, gram_pseudo_inverse, loading_projector
 from .model import OlsEstimate, PcrEstimate
-
-# Residual variances below this trip the degenerate path instead of
-# producing infinite ratios.
-RATIO_GUARD = 1e-300
 
 
 @dataclass(frozen=True)
@@ -31,10 +32,10 @@ class CovarianceSet:
     ``scaled`` rescales the OLS covariance through the loading projector;
     ``difference`` subtracts the omitted-component contribution.  These
     two are verification artifacts and are dropped (None) on the
-    degenerate paths: ``scaled`` requires a nonzero OLS residual variance,
-    ``difference`` additionally requires d < p and a nonzero omitted-set
-    variance.  The variance recomposition is defined exactly where
-    ``difference`` is.
+    degenerate paths: ``scaled`` requires an OLS residual variance that is
+    a normal double, ``difference`` additionally requires d < p and an
+    omitted-set variance that is a normal double.  The variance
+    recomposition is defined exactly where ``difference`` is.
     """
 
     direct: np.ndarray
@@ -49,8 +50,9 @@ class DiagnosticsReport:
 
     ``exceeds_ols[j]`` is the strict comparison se_pcr[j] > se_ols[j] and
     mirrors the bolding convention of tabulated comparisons.  A degenerate
-    report (zero OLS residual variance) carries ``inflation_ratio = nan``.
-    ``covs`` holds the covariances the report was built from.
+    report (an OLS residual variance that is not a normal double) carries
+    ``inflation_ratio = nan``.  ``covs`` holds the covariances the report
+    was built from.
     """
 
     inflation_ratio: float
@@ -60,7 +62,7 @@ class DiagnosticsReport:
     exceeds_ols: np.ndarray
     bias_sigma2_plugin: float
     covs: CovarianceSet
-    degenerate: bool = False
+    degenerate: bool
 
 
 def covariance_agreement(covs: CovarianceSet) -> float:
@@ -69,16 +71,8 @@ def covariance_agreement(covs: CovarianceSet) -> float:
     Zero when only the direct form is present.  Contract for full-rank
     fits: <= 1e-8 * (1 + max diagonal of the direct form).
     """
-    forms = [covs.direct]
-    if covs.scaled is not None:
-        forms.append(covs.scaled)
-    if covs.difference is not None:
-        forms.append(covs.difference)
-    worst = 0.0
-    for a in range(len(forms)):
-        for b in range(a + 1, len(forms)):
-            worst = max(worst, float(np.max(np.abs(forms[a] - forms[b]))))
-    return worst
+    forms = [c for c in (covs.direct, covs.scaled, covs.difference) if c is not None]
+    return max((float(np.max(np.abs(a - b))) for a, b in combinations(forms, 2)), default=0.0)
 
 
 def pcr_covariance(f: SvdFactors, ols: OlsEstimate, pcr: PcrEstimate) -> CovarianceSet:
@@ -89,22 +83,21 @@ def pcr_covariance(f: SvdFactors, ols: OlsEstimate, pcr: PcrEstimate) -> Covaria
     scaled     = cov_ols V_d V_d^T * (sigma2_d / sigma2)
     difference = {cov_ols - (sigma2 / sigma2_k) omitted} * (sigma2_d / sigma2)
 
-    A zero OLS residual variance makes the ratios undefined, so only the
-    direct and omitted forms are returned.  At d = p the difference form
-    is omitted (there is no omitted set), the omitted block is zero and
-    direct = scaled = the OLS covariance.
+    An OLS residual variance that is not a normal double makes the ratios
+    unreliable, so only the direct and omitted forms are returned.  At
+    d = p the difference form is omitted (there is no omitted set), the
+    omitted block is zero and direct = scaled = the OLS covariance.  Once
+    sigma2_k is normal, sigma2 / sigma2_k <= (n - k)/(n - p) cannot
+    overflow.
     """
     direct = gram_pseudo_inverse(f, np.s_[: pcr.d]) * pcr.sigma2_d
     omitted = gram_pseudo_inverse(f, np.s_[pcr.d :]) * pcr.sigma2_k
-    if ols.sigma2 < RATIO_GUARD:
-        return CovarianceSet(direct, omitted, scaled=None, difference=None)
-    ratio = pcr.sigma2_d / ols.sigma2
-    scaled = ols.cov @ loading_projector(f, np.s_[: pcr.d]) * ratio
-    if pcr.k == 0:
-        return CovarianceSet(direct, omitted, scaled=scaled, difference=None)
-    if pcr.sigma2_k < RATIO_GUARD:
-        return CovarianceSet(direct, omitted, scaled=scaled, difference=None)
-    difference = (ols.cov - (ols.sigma2 / pcr.sigma2_k) * omitted) * ratio
+    scaled = difference = None
+    if ols.sigma2 >= sys.float_info.min:
+        ratio = pcr.sigma2_d / ols.sigma2
+        scaled = ols.cov @ loading_projector(f, np.s_[: pcr.d]) * ratio
+        if pcr.k and pcr.sigma2_k >= sys.float_info.min:
+            difference = (ols.cov - (ols.sigma2 / pcr.sigma2_k) * omitted) * ratio
     return CovarianceSet(direct, omitted, scaled=scaled, difference=difference)
 
 
@@ -116,13 +109,13 @@ def variance_recomposition_check(
     Checks cov_ols = var(beta_d) sigma2/sigma2_d + var(beta_k) sigma2/sigma2_k
     with both variances in their direct forms, ``covs.direct`` and
     ``covs.omitted``.  Defined exactly where ``covs.difference`` is: d < p
-    and nonzero OLS and omitted-set residual variances, which bound
-    sigma2_d >= sigma2 (n - p)/(n - d) away from zero; ValidationError
-    otherwise.  Contract: <= 1e-8 * (1 + max diagonal).
+    and OLS and omitted-set residual variances that are normal doubles,
+    which bound sigma2_d >= sigma2 (n - p)/(n - d) away from zero;
+    ValidationError otherwise.  Contract: <= 1e-8 * (1 + max diagonal).
     """
     if covs.difference is None:
         raise ValidationError(
-            "recomposition needs d < p and nonzero OLS and omitted-set residual variances"
+            "recomposition needs d < p and normal OLS and omitted-set residual variances"
         )
     rebuilt = covs.direct * (ols.sigma2 / pcr.sigma2_d) + covs.omitted * (ols.sigma2 / pcr.sigma2_k)
     return float(np.max(np.abs(ols.cov - rebuilt)))
@@ -143,7 +136,7 @@ def build_report(f: SvdFactors, ols: OlsEstimate, pcr: PcrEstimate) -> Diagnosti
     covs = pcr_covariance(f, ols, pcr)
     se_ols = np.sqrt(np.diag(ols.cov))
     se_pcr = np.sqrt(np.diag(covs.direct))
-    degenerate = covs.scaled is None  # pcr_covariance's guard on the OLS residual variance
+    degenerate = covs.scaled is None  # the OLS residual variance is not a normal double
     inflation = float("nan") if degenerate else pcr.sigma2_d / ols.sigma2
     # X^T X reconstructed from the factors for the plug-in bias.
     gram = (f.v * f.sigma**2) @ f.v.T

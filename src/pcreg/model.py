@@ -26,9 +26,10 @@ class Dataset:
     The design matrix contains the intercept column when one is used; set
     ``intercept_included`` accordingly so downstream standardization can
     exempt it.  Construction validates that all values are finite, that
-    1 <= p < n, and (when flagged) that exactly one all-ones column exists
-    and sits first.  ``x`` and ``y`` are read-only copies of the inputs, so
-    ``factors`` and ``scores``, computed on first use, stay theirs.
+    1 <= p < n, and (when flagged) that column 0 is all ones; a second
+    all-ones column is left to the rank check.  ``x`` and ``y`` are
+    read-only copies of the inputs, so ``factors`` and ``scores``, computed
+    on first use, stay theirs.
     """
 
     y: np.ndarray
@@ -50,12 +51,8 @@ class Dataset:
             names = tuple(str(c) for c in self.names)
             if len(names) != p:
                 raise ValidationError(f"expected {p} column names, got {len(names)}")
-        if self.intercept_included:
-            ones = np.all(x == 1.0, axis=0)
-            if ones.sum() != 1 or not ones[0]:
-                raise ValidationError(
-                    "intercept_included requires exactly one all-ones column, in position 0"
-                )
+        if self.intercept_included and not np.all(x[:, 0] == 1.0):
+            raise ValidationError("intercept_included requires column 0 to be all ones")
         x.setflags(write=False)
         y.setflags(write=False)
         object.__setattr__(self, "x", x)

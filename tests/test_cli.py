@@ -463,6 +463,50 @@ class TestComparePayload:
             ols, pcr, covs)
 
 
+def write_scaled_fixture(path, e):
+    """The bundled fixture with ``cost`` scaled by 2**e, every value in ``repr``."""
+    with open(fixture_path(), newline="", encoding="utf-8") as fh:
+        header, *rows = csv.reader(fh)
+    j = header.index("cost")
+    lines = [",".join(header)]
+    for row in rows:
+        values = [float(v) for v in row]
+        values[j] = math.ldexp(values[j], e)
+        lines.append(",".join(map(repr, values)))
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    return path
+
+
+class TestResponseScale:
+    def compare(self, tmp_path, e, mode):
+        path = write_scaled_fixture(tmp_path / f"scaled_{e}.csv", e)
+        code, out, err = run_main(["compare", "--input", str(path), "--response", "cost",
+                                   "--d", "3", "--standardize", mode, "--format", "json"])
+        assert (code, err) == (EXIT_OK, "")
+        return json.loads(out)
+
+    @pytest.mark.parametrize("mode", ["none", "center", "zscore"])
+    @pytest.mark.parametrize("e", [-500, 400])
+    def test_ratios_do_not_depend_on_the_response_scale(self, tmp_path, mode, e):
+        # Scaling y by a power of two scales every fit exactly, so each ratio
+        # is the unscaled one for as long as sigma2 stays a normal double.
+        base, scaled = self.compare(tmp_path, 0, mode), self.compare(tmp_path, e, mode)
+        if e < 0:
+            assert scaled["estimates"]["sigma2"]["ols"] >= sys.float_info.min
+        assert scaled["diagnostics"]["degenerate"] is False
+        for key in ("inflation_ratio", "exceeds_ols_d", "exceeds_ols_k", "loading_diag"):
+            assert scaled["diagnostics"][key] == base["diagnostics"][key], key
+        assert scaled["estimates"]["ols"] == [math.ldexp(b, e) for b in base["estimates"]["ols"]]
+        assert scaled["residuals"]["variance_recomposition"] is not None
+
+    @pytest.mark.parametrize("mode", ["none", "center", "zscore"])
+    def test_subnormal_residual_variance_is_degenerate(self, tmp_path, mode):
+        payload = self.compare(tmp_path, -520, mode)
+        assert 0.0 < payload["estimates"]["sigma2"]["ols"] < sys.float_info.min
+        assert payload["diagnostics"]["degenerate"] is True
+        assert payload["diagnostics"]["inflation_ratio"] is None
+
+
 def json_reference(value):
     """The payload with every non-finite float as None, for ``json.dumps``."""
     if isinstance(value, dict):
@@ -586,6 +630,29 @@ class TestMainExitCodes:
                      "--d", "1", "--no-intercept"])
         assert code == EXIT_RANK
 
+    @pytest.mark.parametrize("command", ["fit", "compare"])
+    def test_all_ones_column_is_a_rank_error(self, tmp_path, command):
+        # As collinear with the added intercept as a column of 2s, so the same rank error.
+        path = tmp_path / "ones.csv"
+        path.write_text("y,a,b\n1,1,3\n4,1,1\n2,1,5\n8,1,2\n5,1,7\n", encoding="utf-8")
+        code, out, err = run_main([command, "--input", str(path), "--response", "y",
+                                   "--d", "1"])
+        assert (code, out) == (EXIT_RANK, "")
+        assert err.startswith("pcreg: rank error:") and err.count("\n") == 1, err
+
+    def test_intercept_named_column_clashes_with_the_added_intercept(self, tmp_path):
+        path = tmp_path / "named.csv"
+        path.write_text("y,Intercept,b\n1,2,3\n4,1,1\n2,6,5\n8,3,2\n5,1,7\n",
+                        encoding="utf-8")
+        argv = ["compare", "--input", str(path), "--response", "y", "--d", "1",
+                "--format", "json"]
+        code, out, err = run_main(argv)
+        assert (code, out) == (EXIT_USAGE, "")
+        assert err.count("\n") == 1 and "'Intercept'" in err and "--no-intercept" in err, err
+        code, out, err = run_main(argv + ["--no-intercept"])
+        assert (code, err) == (EXIT_OK, "")
+        assert json.loads(out)["config"]["names"] == ["Intercept", "b"]
+
     def test_design_without_columns_exit(self, tmp_path, capsys):
         # Only the response, and no intercept: the design has no columns.
         path = tmp_path / "y.csv"
@@ -611,9 +678,9 @@ class TestMainExitCodes:
         assert err.count("\n") == 1 and len(err) < 300, err
         assert "; 11 near-zero singular values, the smallest at components 7: " in err
 
-    def test_recomposition_where_sigma2_d_is_below_the_guard(self, tmp_path):
-        # sigma2 = 1.21e-300 clears the ratio guard and sigma2_d = 9.41e-301 does
-        # not; the recomposition is still defined, since sigma2_d >= sigma2 (n-p)/(n-d).
+    def test_recomposition_with_variances_below_1e_300(self, tmp_path):
+        # sigma2 = 1.21e-300 and sigma2_d = 9.41e-301 are tiny but normal doubles;
+        # the recomposition is defined, since sigma2_d >= sigma2 (n-p)/(n-d).
         rng = np.random.default_rng(0)
         x = rng.standard_normal((10, 3))
         e = rng.standard_normal(10)
@@ -631,6 +698,7 @@ class TestMainExitCodes:
         payload = json.loads(out)
         sigma2 = payload["estimates"]["sigma2"]
         assert sigma2["ols"] >= 1e-300 > sigma2["pcr_d"]
+        assert payload["diagnostics"]["degenerate"] is False
         ols_cov = np.array(payload["covariances"]["ols"])
         gap = payload["residuals"]["variance_recomposition"]
         assert gap is not None and gap <= 1e-8 * (1 + np.max(np.diag(ols_cov)))

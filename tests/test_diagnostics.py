@@ -6,12 +6,15 @@ routes reduce to the same diag(0, 1.25); plug-in bias is
 (1/2 - 1) * 9 + 1/2 = -4 = sigma2_d - sigma2.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pcreg.diagnostics import (
+    CovarianceSet,
     build_report,
     covariance_agreement,
     pcr_covariance,
@@ -80,6 +83,14 @@ class TestPcrCovariance:
         covs = pcr_covariance(f, ols, pcr)
         assert covs.scaled is None and covs.difference is None
         assert covariance_agreement(covs) == 0.0
+
+    def test_agreement_is_the_largest_gap_over_all_pairs(self):
+        # The widest gap is between scaled and difference, neither of them direct.
+        e = np.ones((2, 2))
+        covs = CovarianceSet(direct=0 * e, omitted=0 * e, scaled=e, difference=-2 * e)
+        assert covariance_agreement(covs) == 3.0
+        assert covariance_agreement(dataclasses.replace(covs, difference=None)) == 1.0
+        assert covariance_agreement(dataclasses.replace(covs, scaled=None, difference=None)) == 0.0
 
 
 class TestVarianceRecomposition:

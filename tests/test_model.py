@@ -87,9 +87,11 @@ class TestDataset:
         Dataset(y=np.ones(5), x=x, intercept_included=True)
         with pytest.raises(ValidationError):
             Dataset(y=np.ones(5), x=x[:, ::-1], intercept_included=True)
-        with pytest.raises(ValidationError):
-            Dataset(y=np.ones(5), x=np.column_stack([np.ones(5), np.ones(5), np.arange(5.0)]),
-                    intercept_included=True)
+        # A second all-ones column is the rank check's to report.
+        data = Dataset(y=np.ones(5), x=np.column_stack([np.ones(5), np.ones(5), np.arange(5.0)]),
+                       intercept_included=True)
+        with pytest.raises(RankDeficiencyError):
+            fit_ols(data)
 
 
 class TestFitOls:
