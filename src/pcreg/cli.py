@@ -23,7 +23,7 @@ import json
 import math
 import reprlib
 import sys
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, fields
 from functools import cache, partial
 from pathlib import Path
 from typing import NoReturn
@@ -74,19 +74,6 @@ exit codes:
 """
 
 STANDARDIZE_MODES = ("none", "center", "zscore")
-
-
-@dataclass(frozen=True)
-class TransformRecord:
-    """What standardize() actually did, per design column.
-
-    Exempt columns (the intercept) keep mean 0 and scale 1 so reports can
-    disclose the applied preprocessing exactly.
-    """
-
-    mode: str
-    means: np.ndarray
-    scales: np.ndarray
 
 
 def load_csv(path: str | Path, response: str, add_intercept: bool = True) -> Dataset:
@@ -263,7 +250,7 @@ def _column_moments(x: np.ndarray, moment) -> np.ndarray:
     return np.ldexp(moment(rows, axis=1), exps)
 
 
-def standardize(data: Dataset, mode: str) -> tuple[Dataset, TransformRecord]:
+def standardize(data: Dataset, mode: str) -> tuple[Dataset, dict]:
     """Center or z-score the design columns, intercept exempt.
 
     ``center`` subtracts column means; ``zscore`` additionally divides by
@@ -271,7 +258,9 @@ def standardize(data: Dataset, mode: str) -> tuple[Dataset, TransformRecord]:
     under zscore is an error naming the column.  Both moments are taken
     on power-of-two-scaled columns (see ``_column_moments``), so a column
     anywhere in the double range is standardized without overflow.  The
-    returned record discloses the applied transform.
+    returned record, ``{"mode", "means", "scales"}`` with a mean and a
+    scale per design column as lists (0 and 1 for the intercept and under
+    ``none``), is the ``standardize`` block of a payload's config.
     """
     if mode not in STANDARDIZE_MODES:
         raise ValidationError(
@@ -280,64 +269,48 @@ def standardize(data: Dataset, mode: str) -> tuple[Dataset, TransformRecord]:
     p = data.p
     means = np.zeros(p)
     scales = np.ones(p)
-    if mode == "none":
-        return data, TransformRecord(mode="none", means=means, scales=scales)
-    x = data.x.copy()
-    cols = slice(1 if data.intercept_included else 0, p)
-    means[cols] = _column_moments(x[:, cols], np.mean)
-    x[:, cols] -= means[cols]
-    if mode == "zscore":
-        scales[cols] = _column_moments(x[:, cols], partial(np.std, ddof=1))
-        zero = np.flatnonzero(scales == 0.0)
-        if zero.size:
-            raise ValidationError(
-                f"column {reprlib.repr(data.names[zero[0]])} has zero variance; zscore undefined"
-            )
-        x[:, cols] /= scales[cols]
-    out = Dataset(y=data.y, x=x, names=data.names, intercept_included=data.intercept_included)
-    return out, TransformRecord(mode=mode, means=means, scales=scales)
+    if mode != "none":
+        x = data.x.copy()
+        cols = slice(1 if data.intercept_included else 0, p)
+        means[cols] = _column_moments(x[:, cols], np.mean)
+        x[:, cols] -= means[cols]
+        if mode == "zscore":
+            scales[cols] = _column_moments(x[:, cols], partial(np.std, ddof=1))
+            zero = np.flatnonzero(scales == 0.0)
+            if zero.size:
+                raise ValidationError(
+                    f"column {reprlib.repr(data.names[zero[0]])} has zero variance; "
+                    "zscore undefined"
+                )
+            x[:, cols] /= scales[cols]
+        data = Dataset(y=data.y, x=x, names=data.names, intercept_included=data.intercept_included)
+    return data, {"mode": mode, "means": means.tolist(), "scales": scales.tolist()}
 
 
 # ---------------------------------------------------------------------------
 # payload builders (shared by table and JSON rendering)
 
 
-def _data_config(data: Dataset, d: int | None, record: TransformRecord) -> dict:
+def _data_config(data: Dataset, d: int | None, record: dict) -> dict:
     """The ``config`` block of a fit or compare payload."""
-    return {
-        "n": data.n,
-        "p": data.p,
-        "d": d,
-        "names": list(data.names),
-        "standardize": {
-            "mode": record.mode,
-            "means": record.means.tolist(),
-            "scales": record.scales.tolist(),
-        },
-    }
+    return {"n": data.n, "p": data.p, "d": d, "names": list(data.names), "standardize": record}
 
 
-def fit_payload(data: Dataset, d: int | None, record: TransformRecord) -> dict:
-    """Single-model fit: OLS when d is None, else the component regression."""
-    config = _data_config(data, d, record)
+def fit_payload(data: Dataset, d: int | None, record: dict) -> dict:
+    """Single-model fit: OLS when d is None, else the component regression.
+
+    The slopes' standard errors and covariance are keyed ``beta`` for OLS
+    and ``beta_d`` for the retained components.
+    """
     if d is None:
         ols = fit_ols(data)
-        return {
-            "config": config,
-            "estimates": {
-                "beta": ols.beta.tolist(),
-                "sigma2": ols.sigma2,
-                "rss": ols.rss,
-                "dof": ols.dof,
-            },
-            "standard_errors": {"beta": np.sqrt(np.diag(ols.cov)).tolist()},
-            "covariances": {"beta": ols.cov.tolist()},
-        }
-    pcr = fit_pcr(data, d)
-    cov = gram_pseudo_inverse(data.factors, np.s_[:d]) * pcr.sigma2_d
-    return {
-        "config": config,
-        "estimates": {
+        key, cov = "beta", ols.cov
+        estimates = {"beta": ols.beta.tolist(), "sigma2": ols.sigma2, "rss": ols.rss,
+                     "dof": ols.dof}
+    else:
+        pcr = fit_pcr(data, d)
+        key, cov = "beta_d", gram_pseudo_inverse(data.factors, np.s_[:d]) * pcr.sigma2_d
+        estimates = {
             "beta_pc_d": pcr.beta_pc_d.tolist(),
             "beta_d": pcr.beta_d.tolist(),
             "beta_k": pcr.beta_k.tolist(),
@@ -345,13 +318,16 @@ def fit_payload(data: Dataset, d: int | None, record: TransformRecord) -> dict:
             "sigma2_k": pcr.sigma2_k,
             "sigma2_q": pcr.sigma2_q.tolist(),
             "rss_d": pcr.rss_d,
-        },
-        "standard_errors": {"beta_d": np.sqrt(np.diag(cov)).tolist()},
-        "covariances": {"beta_d": cov.tolist()},
+        }
+    return {
+        "config": _data_config(data, d, record),
+        "estimates": estimates,
+        "standard_errors": {key: np.sqrt(np.diag(cov)).tolist()},
+        "covariances": {key: cov.tolist()},
     }
 
 
-def compare_payload(data: Dataset, d: int, record: TransformRecord) -> dict:
+def compare_payload(data: Dataset, d: int, record: dict) -> dict:
     """Full OLS / retained / omitted comparison with identity residuals.
 
     ``covariances`` prints each slope covariance once: ``ols``, the
@@ -360,7 +336,8 @@ def compare_payload(data: Dataset, d: int, record: TransformRecord) -> dict:
     equal ``pcr_direct`` by contract, so they are computed but not
     printed: ``residuals.covariance_agreement`` reports how closely the
     forms agree and ``residuals.variance_recomposition`` checks the
-    identity behind the difference form.
+    identity behind the difference form.  The slope-bias estimate
+    ``pcr.beta_k`` is printed once, as ``estimates.pcr_k``.
     """
     ols = fit_ols(data)
     pcr = fit_pcr(data, d)
@@ -413,7 +390,6 @@ def compare_payload(data: Dataset, d: int, record: TransformRecord) -> dict:
             "loading_diag": report.loading_diag.tolist(),
             "exceeds_ols_d": report.exceeds_ols.tolist(),
             "exceeds_ols_k": exceeds_k.tolist(),
-            "bias_beta": pcr.beta_k.tolist(),
             "bias_sigma2_plugin": report.bias_sigma2_plugin,
             "degenerate": report.degenerate,
         },
@@ -472,7 +448,8 @@ def _sig2(v: float) -> str:
     return f"{v:.2g}"
 
 
-def _render_table(headers: list[str], rows: list[list[str]]) -> str:
+def _render_table(headers: list[str], rows: list[list[str]], footer: list[str]) -> str:
+    """Left-aligned columns under a ruled header, a blank line, then the footer lines."""
     widths = [len(h) for h in headers]
     for row in rows:
         for j, cell in enumerate(row):
@@ -483,7 +460,7 @@ def _render_table(headers: list[str], rows: list[list[str]]) -> str:
     ]
     for row in rows:
         lines.append("  ".join(cell.ljust(widths[j]) for j, cell in enumerate(row)).rstrip())
-    return "\n".join(lines) + "\n"
+    return "\n".join(lines + ["", *footer]) + "\n"
 
 
 def _cell(estimate: float, se: float) -> str:
@@ -512,9 +489,6 @@ def render_compare_table(payload: dict) -> str:
             ]
         )
     d = payload["config"]["d"]
-    table = _render_table(
-        ["coefficient", "ols", f"pcr_d (d={d})", "pcr_k", "se>ols"], rows
-    )
     footer = [
         f"n = {payload['config']['n']}, p = {payload['config']['p']}, d = {d}",
         f"sigma2: ols {est['sigma2']['ols']:.6g}, pcr_d {est['sigma2']['pcr_d']:.6g}, "
@@ -523,34 +497,30 @@ def render_compare_table(payload: dict) -> str:
         f"standardize: {payload['config']['standardize']['mode']}",
         f"covariance agreement residual: {payload['residuals']['covariance_agreement']:.3e}",
     ]
-    return table + "\n" + "\n".join(footer) + "\n"
+    return _render_table(["coefficient", "ols", f"pcr_d (d={d})", "pcr_k", "se>ols"], rows, footer)
 
 
 def render_fit_table(payload: dict) -> str:
-    names = payload["config"]["names"]
-    est = payload["estimates"]
-    se = payload["standard_errors"]
-    if payload["config"]["d"] is None:
-        rows = [
-            [name, _cell(est["beta"][j], se["beta"][j])] for j, name in enumerate(names)
-        ]
-        table = _render_table(["coefficient", "ols"], rows)
-        footer = (
-            f"sigma2 = {est['sigma2']:.6g}, rss = {est['rss']:.6g}, dof = {est['dof']}"
-        )
-        return table + "\n" + footer + "\n"
-    rows = [
-        [name, _cell(est["beta_d"][j], se["beta_d"][j])] for j, name in enumerate(names)
-    ]
-    table = _render_table(["coefficient", f"pcr_d (d={payload['config']['d']})"], rows)
-    footer = (
-        f"sigma2_d = {est['sigma2_d']:.6g}, rss_d = {est['rss_d']:.6g}, "
-        f"sigma2_k = {est['sigma2_k']:.6g}"
-    )
-    return table + "\n" + footer + "\n"
+    config, est, se = payload["config"], payload["estimates"], payload["standard_errors"]
+    if config["d"] is None:
+        key, column = "beta", "ols"
+        footer = f"sigma2 = {est['sigma2']:.6g}, rss = {est['rss']:.6g}, dof = {est['dof']}"
+    else:
+        key, column = "beta_d", f"pcr_d (d={config['d']})"
+        footer = (f"sigma2_d = {est['sigma2_d']:.6g}, rss_d = {est['rss_d']:.6g}, "
+                  f"sigma2_k = {est['sigma2_k']:.6g}")
+    rows = [[name, _cell(est[key][j], se[key][j])] for j, name in enumerate(config["names"])]
+    return _render_table(["coefficient", column], rows, [footer])
 
 
 def render_simulate_table(payload: dict) -> str:
+    """One row per claim, in the payload's order: the claim as written,
+    ``predicted`` and ``observed`` to 6 significant figures (``.6g``),
+    ``mcse`` to 3 (``.3g``), ``z`` signed to 3 decimals (``+.3f``) or
+    ``n/a`` when it is not finite, and the role ``asserted`` or
+    ``recorded``.  The footer gives the replicates, seed and generator,
+    the residual-dof winner with the z-scores of the two ``mean_rss_d``
+    rows, and the alert flag."""
     rows = [
         [
             row["claim"],
@@ -562,7 +532,6 @@ def render_simulate_table(payload: dict) -> str:
         ]
         for row in payload["rows"]
     ]
-    table = _render_table(["claim", "predicted", "observed", "mcse", "z", "role"], rows)
     z = {row["claim"]: row["z"] for row in payload["rows"]}
     footer = [
         f"replicates = {payload['config']['replicates']}, seed = {payload['config']['seed']}, "
@@ -571,7 +540,7 @@ def render_simulate_table(payload: dict) -> str:
         f"(z_nd = {z['mean_rss_d (n-d dof)']:+.3f}, z_np = {z['mean_rss_d (n-p dof)']:+.3f})",
         f"alert = {payload['alert']}",
     ]
-    return table + "\n" + "\n".join(footer) + "\n"
+    return _render_table(["claim", "predicted", "observed", "mcse", "z", "role"], rows, footer)
 
 
 _float_repr = float.__repr__
@@ -624,11 +593,13 @@ def render_json(payload: dict) -> str:
     return _json_text(payload, "") + "\n"
 
 
-def _emit(text: str, out: str | None) -> None:
-    if out is None:
+def _emit(args: argparse.Namespace, payload: dict, render_table) -> None:
+    """Write ``payload`` as JSON or as ``render_table`` draws it, to ``--out`` or stdout."""
+    text = render_json(payload) if args.format == "json" else render_table(payload)
+    if args.out is None:
         sys.stdout.write(text)
     else:
-        Path(out).write_text(text, encoding="utf-8")
+        Path(args.out).write_text(text, encoding="utf-8")
 
 
 # ---------------------------------------------------------------------------
@@ -677,6 +648,10 @@ def _add_data_args(sub: argparse.ArgumentParser, d_required: bool) -> None:
         action="store_true",
         help="do not prepend an all-ones intercept column",
     )
+    _add_output_args(sub)
+
+
+def _add_output_args(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--format", choices=("table", "json"), default="table")
     sub.add_argument("--out", default=None, help="write output to this path instead of stdout")
 
@@ -717,8 +692,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=4.0,
         help="exit with code 6 when any finite |z| exceeds this (default 4)",
     )
-    simulate.add_argument("--format", choices=("table", "json"), default="table")
-    simulate.add_argument("--out", default=None)
+    _add_output_args(simulate)
     return parser
 
 
@@ -736,8 +710,7 @@ def _run_data(args: argparse.Namespace, payload_fn, render_fn) -> int:
     payload = payload_fn(data, args.d, record)
     payload["config"]["input"] = args.input
     payload["config"]["response"] = args.response
-    text = render_json(payload) if args.format == "json" else render_fn(payload)
-    _emit(text, args.out)
+    _emit(args, payload, render_fn)
     return EXIT_OK
 
 
@@ -747,8 +720,7 @@ def _run_simulate(args: argparse.Namespace) -> int:
         raise ValidationError(f"--alert-threshold must be finite and >= 0; got {threshold}")
     cfg = load_simulation_config(args.config, seed_override=args.seed)
     payload, alert = simulate_payload(cfg, threshold)
-    text = render_json(payload) if args.format == "json" else render_simulate_table(payload)
-    _emit(text, args.out)
+    _emit(args, payload, render_simulate_table)
     return EXIT_ALERT if alert else EXIT_OK
 
 

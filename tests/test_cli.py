@@ -307,7 +307,7 @@ class TestStandardize:
         data = load_csv(toy_csv, "y", add_intercept=False)
         out, record = standardize(data, "none")
         assert out is data
-        assert record.mode == "none"
+        assert record["mode"] == "none"
 
     def test_center_subtracts_means_intercept_exempt(self, tmp_path):
         path = tmp_path / "c.csv"
@@ -316,7 +316,7 @@ class TestStandardize:
         out, record = standardize(data, "center")
         np.testing.assert_array_equal(out.x[:, 0], np.ones(4))
         np.testing.assert_allclose(out.x[:, 1], [-3.0, -1.0, 1.0, 3.0])
-        assert record.means[1] == 7.0 and record.means[0] == 0.0
+        assert record["means"][1] == 7.0 and record["means"][0] == 0.0
 
     def test_center_allows_constant_column(self):
         x = np.column_stack([np.ones(5), np.full(5, 3.0), np.arange(5.0)])
@@ -357,8 +357,8 @@ class TestStandardize:
             out, record = standardize(data, "zscore")
             for j in range(start, data.p):
                 centered = data.x[:, j] - data.x[:, j].mean()
-                assert record.means[j] == data.x[:, j].mean()
-                assert record.scales[j] == centered.std(ddof=1)
+                assert record["means"][j] == data.x[:, j].mean()
+                assert record["scales"][j] == centered.std(ddof=1)
                 assert out.x[:, j].tobytes() == (centered / centered.std(ddof=1)).tobytes()
 
     def test_zscore_of_a_column_whose_squares_underflow(self):
@@ -371,7 +371,7 @@ class TestStandardize:
         want, _ = standardize(data, "zscore")
         got, record = standardize(tiny, "zscore")
         np.testing.assert_allclose(got.x, want.x, rtol=1e-14, atol=1e-14)
-        assert record.scales[1] == pytest.approx(1e-170 * x[:, 1].std(ddof=1), rel=1e-14)
+        assert record["scales"][1] == pytest.approx(1e-170 * x[:, 1].std(ddof=1), rel=1e-14)
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_columns_near_the_double_range(self, tmp_path):
@@ -1113,6 +1113,49 @@ class TestSimulate:
         assert out1.read_bytes() == out2.read_bytes()
         payload = json.loads(out1.read_text(encoding="utf-8"))
         assert payload["adjudication"]["winner"] in ("n-d", "n-p")
+
+    def test_table_matches_the_json_of_the_same_run(self, tmp_path, capsys):
+        # The table against the JSON of the same run, cell by cell; 1000
+        # replicates add the Frobenius row, whose z is null ("n/a").
+        path = write_sim_config(tmp_path, replicates=1000)
+        argv = ["simulate", "--config", str(path)]
+        assert main([*argv, "--format", "json"]) == EXIT_OK
+        payload = json.loads(capsys.readouterr().out)
+        assert main([*argv, "--format", "table"]) == EXIT_OK
+        table = capsys.readouterr().out
+        out = tmp_path / "table.txt"
+        assert main([*argv, "--format", "table", "--out", str(out)]) == EXIT_OK
+        assert capsys.readouterr().out == ""
+        assert out.read_bytes() == table.encode("utf-8")
+
+        header, rule, *rest = table.split("\n")
+        rows, footer = rest[:len(payload["rows"])], rest[len(payload["rows"]):]
+        assert header.split() == ["claim", "predicted", "observed", "mcse", "z", "role"]
+        spans = [m.span() for m in re.finditer("-+", rule)]
+
+        def num(v, spec):  # JSON writes a non-finite float as null
+            return format(math.nan if v is None else v, spec)
+
+        for line, row in zip(rows, payload["rows"]):
+            assert [line[a:b].strip() for a, b in spans] == [
+                row["claim"],
+                num(row["predicted"], ".6g"),
+                num(row["observed"], ".6g"),
+                num(row["mcse"], ".3g"),
+                "n/a" if row["z"] is None else format(row["z"], "+.3f"),
+                "asserted" if row["asserted"] else "recorded",
+            ]
+        assert any(row["z"] is None for row in payload["rows"])
+
+        z = {row["claim"]: row["z"] for row in payload["rows"]}
+        assert footer == [
+            "",
+            f"replicates = 1000, seed = 17, generator = {payload['config']['generator']}",
+            f"rss dof adjudication: winner = {payload['adjudication']['winner']} "
+            f"(z_nd = {z['mean_rss_d (n-d dof)']:+.3f}, z_np = {z['mean_rss_d (n-p dof)']:+.3f})",
+            "alert = False",
+            "",
+        ]
 
     def test_seed_override_changes_output(self, tmp_path):
         path = write_sim_config(tmp_path)

@@ -73,8 +73,8 @@ class TestPcrCovariance:
             np.testing.assert_allclose(form, form.T, atol=tol)
 
     def test_degenerate_zero_residual_variance(self):
-        # an all-zero response fits exactly, so sigma2 is exactly 0.0 and
-        # the ratio guard must route to the direct-only form
+        # an all-zero response fits exactly, so sigma2 is exactly 0.0, which
+        # is not a normal double: only the direct and omitted forms are built
         rng = np.random.default_rng(5)
         x = rng.standard_normal((15, 3))
         data = Dataset(y=np.zeros(15), x=x)

@@ -18,8 +18,8 @@ import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 TOOL = ROOT / "tools" / "output_digest.py"
-# Four workloads at two seeds each.
-OUTPUTS = 760
+# Four workloads at two seeds each; each simulate case also as a table.
+OUTPUTS = 762
 LINE = re.compile(r"^\S+ seed=\d+ \S+ exit=(\S+) sha256=[0-9a-f]{64}$")
 
 
@@ -34,13 +34,14 @@ def test_every_benchmark_output_exits_zero():
         assert match and match.group(1) == "0", line
 
 
-@pytest.mark.parametrize("edit, status, identical", [(False, 0, OUTPUTS), (True, 1, OUTPUTS - 2)],
+@pytest.mark.parametrize("edit, status, identical", [(False, 0, OUTPUTS), (True, 1, OUTPUTS - 4)],
                          ids=["identical", "changed"])
 def test_two_checkouts_exit_status(tmp_path, edit, status, identical):
-    # A copy of this tree, with the generator name that both simulate-mc
-    # outputs print changed or not.  The edit is a line appended to the
-    # module, so it does not depend on how the name's own line is spelled;
-    # cli imports the name after the module has run to its end.
+    # A copy of this tree, with the generator name that the four simulate-mc
+    # outputs print (JSON and table at both seeds) changed or not.  The edit
+    # is a line appended to the module, so it does not depend on how the
+    # name's own line is spelled; cli imports the name after the module has
+    # run to its end.
     other = tmp_path / "other"
     for part in ("src", "perfbench"):
         shutil.copytree(ROOT / part, other / part, ignore=shutil.ignore_patterns("__pycache__"))

@@ -11,7 +11,9 @@ and ``perfbench/workloads.py``).  The script generates the inputs of the
 four perfbench workloads at the baseline seed 1 and the holdout seed 9173,
 runs each case once in process exactly as the benchmark does (``cli.main``
 for the CLI workloads; ``Dataset`` + ``standardize`` + ``compare_payload``
-+ ``render_json`` for fits-batch) and prints one line per output:
++ ``render_json`` for fits-batch) and prints one line per output.  Each
+``simulate-json`` case is run a second time with ``--format table``
+appended, labelled ``<key>-table``, so every renderer's bytes are digested:
 
     <workload> seed=<seed> <case> exit=<code> sha256=<digest of stdout>
 
@@ -38,6 +40,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import dataclasses
 import hashlib
 import io
 import json
@@ -68,6 +71,15 @@ def run_case(cli, model, workload, case) -> tuple[int, str]:
     return code, out.getvalue()
 
 
+def digest_cases(workload):
+    """The workload's cases, each simulate-json case followed by its table twin."""
+    for case in workload.cases:
+        yield case
+        if case.kind == "simulate-json":
+            yield dataclasses.replace(case, key=f"{case.key}-table", kind="simulate-table",
+                                      argv=(*case.argv, "--format", "table"))
+
+
 def outputs(root: Path) -> list[tuple[str, int, str]]:
     """Every case of the checkout at ``root``: (label, exit code, stdout)."""
     # The thread setting must be in place before numpy loads its BLAS.
@@ -87,7 +99,7 @@ def outputs(root: Path) -> list[tuple[str, int, str]]:
         for seed in SEEDS:
             with tempfile.TemporaryDirectory(prefix="pcreg-digest-") as tmp:
                 workload = workloads.build(name, seed, fixture, Path(tmp))
-                for case in workload.cases:
+                for case in digest_cases(workload):
                     code, text = run_case(cli, model, workload, case)
                     results.append((f"{name} seed={seed} {case.key}", code,
                                     text.replace(tmp, "<workdir>")))
