@@ -9,8 +9,8 @@ compare    Three-column coefficient table: OLS, retained-component, and
 simulate   Run a seeded simulation config and tabulate predictions
            against observations; alerts when a z-score is out of range.
 
-Exit codes: 0 success, 2 parse/validation, 3 rank deficiency,
-4 degrees of freedom, 5 convergence failure, 6 simulation z-alert.
+``pcreg --help`` lists the exit codes.  Each failure's code and stderr
+label come from one table, ``_FAILURES``, which also writes that list.
 Tables round to 2 significant figures for display; JSON output carries
 full precision and is byte-identical across reruns of the same inputs.
 """
@@ -63,15 +63,20 @@ EXIT_DOF = 4
 EXIT_CONVERGENCE = 5
 EXIT_ALERT = 6
 
-_EXIT_HELP = """\
-exit codes:
-  0  success
-  2  input parse or validation error, or a path that cannot be read or written
-  3  rank-deficient design
-  4  too few observations (degrees of freedom)
-  5  decomposition failed to converge
-  6  simulate: a |z| exceeded the alert threshold
-"""
+# Each failure's exit code, stderr label, the exceptions that end in it and
+# its line of --help.  A PcregError of no listed type exits 1 as an error.
+_FAILURES = (
+    (EXIT_USAGE, "error", (DataFormatError, ValidationError, OSError),
+     "input parse or validation error, or a path that cannot be read or written"),
+    (EXIT_RANK, "rank error", RankDeficiencyError, "rank-deficient design"),
+    (EXIT_DOF, "dof error", DegreesOfFreedomError, "too few observations (degrees of freedom)"),
+    (EXIT_CONVERGENCE, "convergence error", ConvergenceError, "decomposition failed to converge"),
+)
+_EXIT_HELP = "".join([
+    f"exit codes:\n  {EXIT_OK}  success\n",
+    *(f"  {code}  {line}\n" for code, _, _, line in _FAILURES),
+    f"  {EXIT_ALERT}  simulate: a |z| exceeded the alert threshold\n",
+])
 
 STANDARDIZE_MODES = ("none", "center", "zscore")
 
@@ -343,8 +348,6 @@ def compare_payload(data: Dataset, d: int, record: dict) -> dict:
     pcr = fit_pcr(data, d)
     report = build_report(data.factors, ols, pcr)
     covs = report.covs
-    se_k = np.sqrt(np.diag(covs.omitted))
-    exceeds_k = se_k > report.se_ols
 
     forms = sigma2_d_three_forms(data, pcr, ols)
     spread = max(abs(v - pcr.sigma2_d) for v in forms)
@@ -355,10 +358,8 @@ def compare_payload(data: Dataset, d: int, record: dict) -> dict:
         "three_forms_spread": spread,
         "covariance_agreement": covariance_agreement(covs),
         "bias_identity": abs(report.bias_sigma2_plugin - (pcr.sigma2_d - ols.sigma2)),
+        "variance_recomposition": variance_recomposition_check(ols, pcr, covs),
     }
-    residuals["variance_recomposition"] = (
-        None if covs.difference is None else variance_recomposition_check(ols, pcr, covs)
-    )
 
     return {
         "config": _data_config(data, d, record),
@@ -378,7 +379,7 @@ def compare_payload(data: Dataset, d: int, record: dict) -> dict:
         "standard_errors": {
             "ols": report.se_ols.tolist(),
             "pcr_d": report.se_pcr.tolist(),
-            "pcr_k": se_k.tolist(),
+            "pcr_k": report.se_k.tolist(),
         },
         "covariances": {
             "ols": ols.cov.tolist(),
@@ -389,7 +390,7 @@ def compare_payload(data: Dataset, d: int, record: dict) -> dict:
             "inflation_ratio": report.inflation_ratio,
             "loading_diag": report.loading_diag.tolist(),
             "exceeds_ols_d": report.exceeds_ols.tolist(),
-            "exceeds_ols_k": exceeds_k.tolist(),
+            "exceeds_ols_k": report.exceeds_ols_k.tolist(),
             "bias_sigma2_plugin": report.bias_sigma2_plugin,
             "degenerate": report.degenerate,
         },
@@ -398,7 +399,13 @@ def compare_payload(data: Dataset, d: int, record: dict) -> dict:
 
 
 def simulate_payload(cfg: SimulationConfig, alert_threshold: float) -> tuple[dict, bool]:
-    """Run a simulation and tabulate it; the flag reports a z alert."""
+    """Run a simulation and tabulate it; the flag reports a z alert.
+
+    ``result`` holds the aggregates that no row prints: the mean plug-in
+    variance and both slope covariances.  The mean RSS, the mean slopes
+    and their MCSEs, and the MCSE of the variance are the ``observed``
+    and ``mcse`` of their rows.
+    """
     res = run_simulation(cfg)
     rows = theory_comparison(res)
     adjudication = adjudicate_rss_dof(res)
@@ -420,13 +427,8 @@ def simulate_payload(cfg: SimulationConfig, alert_threshold: float) -> tuple[dic
         },
         "result": {
             "mean_sigma2_d": res.mean_sigma2_d,
-            "mean_rss_d": res.mean_rss_d,
-            "mean_beta_d": res.mean_beta_d.tolist(),
             "empirical_cov_beta_d": res.empirical_cov_beta_d.tolist(),
             "predicted_cov": res.predicted_cov.tolist(),
-            "mcse_sigma2_d": res.mcse_sigma2_d,
-            "mcse_rss_d": res.mcse_rss_d,
-            "mcse_beta_d": res.mcse_beta_d.tolist(),
         },
         "rows": [asdict(row) for row in rows],
         "adjudication": adjudication,
@@ -443,8 +445,6 @@ def _sig2(v: float) -> str:
     """Two significant figures for table display; JSON stays unrounded."""
     if v == 0:
         return "0"
-    if not math.isfinite(v):
-        return str(v)
     return f"{v:.2g}"
 
 
@@ -735,28 +735,15 @@ def main(argv: list[str] | None = None) -> int:
             if args.command == "compare":
                 return _run_data(args, compare_payload, render_compare_table)
             return _run_simulate(args)
-    except (DataFormatError, ValidationError) as exc:
-        print(f"pcreg: error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
     except (FloatingPointError, OverflowError) as exc:  # OverflowError: an int past 1.8e308
         print(f"pcreg: error: the data exceed the double-precision range ({exc})",
               file=sys.stderr)
         return EXIT_USAGE
-    except RankDeficiencyError as exc:
-        print(f"pcreg: rank error: {exc}", file=sys.stderr)
-        return EXIT_RANK
-    except DegreesOfFreedomError as exc:
-        print(f"pcreg: dof error: {exc}", file=sys.stderr)
-        return EXIT_DOF
-    except ConvergenceError as exc:
-        print(f"pcreg: convergence error: {exc}", file=sys.stderr)
-        return EXIT_CONVERGENCE
-    except OSError as exc:  # an input that cannot be read, an --out that cannot be written
-        print(f"pcreg: error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except PcregError as exc:  # any future subclass: fail closed, not loudly
-        print(f"pcreg: error: {exc}", file=sys.stderr)
-        return 1
+    except (PcregError, OSError) as exc:  # OSError: an unreadable input, an unwritable --out
+        code, label = next(((code, label) for code, label, types, _ in _FAILURES
+                            if isinstance(exc, types)), (1, "error"))  # fail closed
+        print(f"pcreg: {label}: {exc}", file=sys.stderr)
+        return code
 
 
 if __name__ == "__main__":

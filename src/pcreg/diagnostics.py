@@ -17,7 +17,6 @@ from itertools import combinations
 
 import numpy as np
 
-from .errors import ValidationError
 from .linalg import SvdFactors, gram_pseudo_inverse, loading_projector
 from .model import OlsEstimate, PcrEstimate
 
@@ -48,10 +47,12 @@ class CovarianceSet:
 class DiagnosticsReport:
     """Per-fit comparison of PCR against OLS.
 
-    ``exceeds_ols[j]`` is the strict comparison se_pcr[j] > se_ols[j] and
-    mirrors the bolding convention of tabulated comparisons.  A degenerate
-    report (an OLS residual variance that is not a normal double) carries
-    ``inflation_ratio = nan``.  ``covs`` holds the covariances the report
+    ``se_pcr`` and ``se_k`` are the standard errors of the retained and
+    omitted slopes.  ``exceeds_ols[j]`` is the strict comparison
+    se_pcr[j] > se_ols[j], and ``exceeds_ols_k[j]`` is se_k[j] > se_ols[j];
+    both mirror the bolding convention of tabulated comparisons.  A
+    degenerate report (an OLS residual variance that is not a normal
+    double) carries ``inflation_ratio = nan``.  ``covs`` holds the covariances the report
     was built from.
     """
 
@@ -59,7 +60,9 @@ class DiagnosticsReport:
     loading_diag: np.ndarray
     se_ols: np.ndarray
     se_pcr: np.ndarray
+    se_k: np.ndarray
     exceeds_ols: np.ndarray
+    exceeds_ols_k: np.ndarray
     bias_sigma2_plugin: float
     covs: CovarianceSet
     degenerate: bool
@@ -103,7 +106,7 @@ def pcr_covariance(f: SvdFactors, ols: OlsEstimate, pcr: PcrEstimate) -> Covaria
 
 def variance_recomposition_check(
     ols: OlsEstimate, pcr: PcrEstimate, covs: CovarianceSet
-) -> float:
+) -> float | None:
     """Max absolute gap in rebuilding the OLS covariance from both blocks.
 
     Checks cov_ols = var(beta_d) sigma2/sigma2_d + var(beta_k) sigma2/sigma2_k
@@ -111,12 +114,10 @@ def variance_recomposition_check(
     ``covs.omitted``.  Defined exactly where ``covs.difference`` is: d < p
     and OLS and omitted-set residual variances that are normal doubles,
     which bound sigma2_d >= sigma2 (n - p)/(n - d) away from zero;
-    ValidationError otherwise.  Contract: <= 1e-8 * (1 + max diagonal).
+    None elsewhere.  Contract: <= 1e-8 * (1 + max diagonal).
     """
     if covs.difference is None:
-        raise ValidationError(
-            "recomposition needs d < p and normal OLS and omitted-set residual variances"
-        )
+        return None
     rebuilt = covs.direct * (ols.sigma2 / pcr.sigma2_d) + covs.omitted * (ols.sigma2 / pcr.sigma2_k)
     return float(np.max(np.abs(ols.cov - rebuilt)))
 
@@ -125,8 +126,8 @@ def build_report(f: SvdFactors, ols: OlsEstimate, pcr: PcrEstimate) -> Diagnosti
     """Assemble the per-coefficient comparison report.
 
     Standard errors come from the covariance diagonals (direct form for
-    PCR); the exceedance flags use the strict inequality.  The plug-in
-    residual-variance bias,
+    the retained slopes); the exceedance flags of both blocks use the
+    strict inequality.  The plug-in residual-variance bias,
 
         ((n - p)/(n - d) - 1) sigma2 + (beta - beta_d)^T X^T X (beta - beta_d) / (n - d),
 
@@ -136,6 +137,7 @@ def build_report(f: SvdFactors, ols: OlsEstimate, pcr: PcrEstimate) -> Diagnosti
     covs = pcr_covariance(f, ols, pcr)
     se_ols = np.sqrt(np.diag(ols.cov))
     se_pcr = np.sqrt(np.diag(covs.direct))
+    se_k = np.sqrt(np.diag(covs.omitted))
     degenerate = covs.scaled is None  # the OLS residual variance is not a normal double
     inflation = float("nan") if degenerate else pcr.sigma2_d / ols.sigma2
     # X^T X reconstructed from the factors for the plug-in bias.
@@ -149,7 +151,9 @@ def build_report(f: SvdFactors, ols: OlsEstimate, pcr: PcrEstimate) -> Diagnosti
         loading_diag=np.sum(f.v[:, :d] ** 2, axis=1),
         se_ols=se_ols,
         se_pcr=se_pcr,
+        se_k=se_k,
         exceeds_ols=se_pcr > se_ols,
+        exceeds_ols_k=se_k > se_ols,
         bias_sigma2_plugin=plugin,
         covs=covs,
         degenerate=degenerate,

@@ -1,6 +1,6 @@
 """Exception types shared across the package.
 
-Each concrete class maps to its own CLI exit code; see ``pcreg.cli``.
+``pcreg.cli._FAILURES`` maps each concrete class to its CLI exit code.
 """
 
 

@@ -24,6 +24,7 @@ import pcreg.cli as cli
 from pcreg import fixture_path
 from pcreg.cli import (
     EXIT_ALERT,
+    EXIT_CONVERGENCE,
     EXIT_DOF,
     EXIT_OK,
     EXIT_RANK,
@@ -419,6 +420,17 @@ class TestComparePayload:
         assert payload["diagnostics"]["exceeds_ols_d"] == [False, False]
         for key, value in payload["residuals"].items():
             assert value is None or value <= 1e-10, key
+
+    def test_an_equal_standard_error_is_not_flagged(self):
+        # sigma2 = sigma2_d = sigma2_k = 1, so se_pcr[0] = se_ols[0] = 1/4 and
+        # se_k[1] = se_ols[1] = 1/2 exactly: the strict > flags neither.
+        x = np.array([[4.0, 0.0], [0.0, 2.0], [0.0, 0.0], [0.0, 0.0]])
+        data = Dataset(y=np.ones(4), x=x, intercept_included=False)
+        payload = compare_payload(data, 1, {})
+        se, diag = payload["standard_errors"], payload["diagnostics"]
+        assert se["pcr_d"][0] == se["ols"][0] == 0.25
+        assert se["pcr_k"][1] == se["ols"][1] == 0.5
+        assert diag["exceeds_ols_d"] == diag["exceeds_ols_k"] == [False, False]
 
     def test_table_rounds_to_two_significant_figures(self, toy_csv):
         data = load_csv(toy_csv, "y", add_intercept=False)
@@ -822,6 +834,68 @@ class TestMainExitCodes:
         assert payload["estimates"]["dof"] == 1
 
 
+class UnlistedError(PcregError):
+    """A PcregError subclass that no exit code names."""
+
+
+def raise_unlisted(*args, **kwargs):
+    raise UnlistedError("a failure with no exit code of its own")
+
+
+def fail_to_converge(*args, **kwargs):
+    raise np.linalg.LinAlgError("SVD did not converge")
+
+
+# One failing invocation per way a command can fail: (CSV text, extra
+# arguments, a patched attribute), the exit code and the stderr label.
+FAILURES = {
+    "bad-cell": ("y,a\n1,x\n2,3\n", [], None, EXIT_USAGE, "pcreg: error: "),
+    "unwritable-out": (TOY_CSV, ["--out", "{tmp}/missing/out.txt"], None, EXIT_USAGE,
+                       "pcreg: error: "),
+    "bad-option": (TOY_CSV, ["--bogus"], None, EXIT_USAGE, "pcreg: error: "),
+    "double-range": ("y,a,b\n1,1e157,0\n2,0,1e157\n3,1e157,1e157\n4,0,-1e157\n", [], None,
+                     EXIT_USAGE, "pcreg: error: the data exceed the double-precision range ("),
+    "rank": ("y,a,b\n1,1,2\n2,2,4\n3,3,6\n4,4,8\n5,5,10\n", [], None, EXIT_RANK,
+             "pcreg: rank error: "),
+    "dof": ("y,a,b\n1,2,3\n4,5,6\n", [], None, EXIT_DOF, "pcreg: dof error: "),
+    "convergence": (TOY_CSV, [], (np.linalg, "svd", fail_to_converge), EXIT_CONVERGENCE,
+                    "pcreg: convergence error: "),
+    "unlisted-pcreg-error": (TOY_CSV, [], (cli, "standardize", raise_unlisted), 1,
+                             "pcreg: error: "),
+}
+
+
+class TestFailurePath:
+    @pytest.mark.parametrize("case", FAILURES)
+    def test_exit_code_and_stderr_label(self, tmp_path, monkeypatch, case):
+        # A failure is one stderr line that starts with its label, nothing
+        # on stdout, and its exit code; a PcregError that no code names
+        # still exits 1 as an error.
+        text, extra, patch, code, label = FAILURES[case]
+        path = tmp_path / "data.csv"
+        path.write_text(text, encoding="utf-8")
+        if patch is not None:
+            monkeypatch.setattr(*patch)
+        argv = ["compare", "--input", str(path), "--response", "y", "--d", "1",
+                "--no-intercept", *(arg.format(tmp=tmp_path) for arg in extra)]
+        got, out, err = run_main(argv)
+        assert (got, out) == (code, "")
+        assert err.startswith(label) and err.count("\n") == 1, err
+
+    def test_help_lists_every_exit_code(self, capsys):
+        with pytest.raises(SystemExit):
+            main(["--help"])
+        assert capsys.readouterr().out.endswith(
+            "\n\nexit codes:\n"
+            "  0  success\n"
+            "  2  input parse or validation error, or a path that cannot be read or written\n"
+            "  3  rank-deficient design\n"
+            "  4  too few observations (degrees of freedom)\n"
+            "  5  decomposition failed to converge\n"
+            "  6  simulate: a |z| exceeded the alert threshold\n"
+        )
+
+
 def long_header_argv(tmp_path):
     path = tmp_path / "wide.csv"
     path.write_text(",".join(f"c{j}" for j in range(50_000)) + "\n" + "1," * 49_999 + "1\n",
@@ -867,6 +941,15 @@ class TestBoundedEcho:
         assert code == EXIT_USAGE and out == ""
         assert err.startswith("pcreg: error: ") and err.count("\n") == 1
         assert len(err) <= 200 and "..." in err, err[:300]
+
+    def test_a_usage_error_past_160_characters_is_cut_to_160(self):
+        # A 300-character argument makes a message a little over the cut.
+        code, out, err = run_main(["fit", "--input", "x.csv", "--response", "y",
+                                   "--d", "x" * 300])
+        assert code == EXIT_USAGE and out == ""
+        assert err.startswith("pcreg: error: ") and err.count("\n") == 1
+        message = err.removeprefix("pcreg: error: ").removesuffix("\n")
+        assert "..." in message and len(message) <= 160, message
 
 
 class TestParserReuse:
@@ -1156,6 +1239,24 @@ class TestSimulate:
             "alert = False",
             "",
         ]
+
+    def test_result_holds_only_what_no_row_prints(self, tmp_path, capsys):
+        # The mean RSS, the mean slopes and the MCSEs are printed once, as
+        # the observed and mcse of their rows, bit for bit.
+        path = write_sim_config(tmp_path)
+        assert main(["simulate", "--config", str(path), "--format", "json"]) == EXIT_OK
+        payload = json.loads(capsys.readouterr().out)
+        assert set(payload["result"]) == {"mean_sigma2_d", "empirical_cov_beta_d",
+                                          "predicted_cov"}
+        res = run_simulation(load_simulation_config(path))
+        rows = {row["claim"]: row for row in payload["rows"]}
+        for dof in ("n-d", "n-p"):
+            rss, bias = rows[f"mean_rss_d ({dof} dof)"], rows[f"bias_sigma2_d ({dof} dof)"]
+            assert (rss["observed"], rss["mcse"]) == (res.mean_rss_d, res.mcse_rss_d)
+            assert bias["mcse"] == res.mcse_sigma2_d
+        for j in range(res.config.p):
+            row = rows[f"mean_beta_d[{j}]"]
+            assert (row["observed"], row["mcse"]) == (res.mean_beta_d[j], res.mcse_beta_d[j])
 
     def test_seed_override_changes_output(self, tmp_path):
         path = write_sim_config(tmp_path)

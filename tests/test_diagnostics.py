@@ -20,7 +20,6 @@ from pcreg.diagnostics import (
     pcr_covariance,
     variance_recomposition_check,
 )
-from pcreg.errors import ValidationError
 from pcreg.linalg import svd_thin
 from pcreg.model import Dataset, fit_ols, fit_pcr
 
@@ -99,9 +98,9 @@ class TestVarianceRecomposition:
         assert variance_recomposition_check(ols, pcr, pcr_covariance(f, ols, pcr)) <= 1e-12
 
     def test_full_d_rejected(self):
+        # At d = p there is no omitted set, so the check has no value.
         _, f, ols, pcr = random_fits(1, 25, 4, d=4)
-        with pytest.raises(ValidationError):
-            variance_recomposition_check(ols, pcr, pcr_covariance(f, ols, pcr))
+        assert variance_recomposition_check(ols, pcr, pcr_covariance(f, ols, pcr)) is None
 
     @settings(max_examples=40, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), d=st.integers(1, 6))
@@ -144,6 +143,18 @@ class TestBuildReport:
         np.testing.assert_allclose(report.loading_diag, [0.0, 1.0], atol=1e-12)
         assert abs(report.bias_sigma2_plugin - (-4.0)) <= 1e-12
         np.testing.assert_array_equal(report.covs.direct, pcr_covariance(f, ols, pcr).direct)
+
+    def test_toy_omitted_block(self, toy_fits):
+        # The omitted-slope standard errors and flags come from covs.omitted.
+        f, ols, pcr = toy_fits
+        report = build_report(f, ols, pcr)
+        np.testing.assert_array_equal(report.se_k, np.sqrt(np.diag(report.covs.omitted)))
+        np.testing.assert_allclose(report.se_k, [np.sqrt(6.5), 0.0], atol=1e-12)
+        assert report.exceeds_ols_k.tolist() == [False, False]
+        # At d = p the omitted block is zero, so no omitted slope is flagged.
+        _, f, ols, pcr = random_fits(3, 30, 5, d=5)
+        report = build_report(f, ols, pcr)
+        assert not report.se_k.any() and not report.exceeds_ols_k.any()
 
     def test_full_d_all_flags_false(self):
         _, f, ols, pcr = random_fits(3, 30, 5, d=5)

@@ -199,6 +199,20 @@ class TestCheckRank:
             "2999: 0.000e+00, 3000: 0.000e+00"
         )
 
+    def test_a_singular_value_at_the_cutoff_is_near_zero(self):
+        # The rule is sigma <= cutoff: equal bits are rank deficient, the
+        # next double up is not.
+        f = self.factors(2, 0)
+        cutoff = f.rank_cutoff
+        for sigma, deficient in ((cutoff, True), (np.nextafter(cutoff, 1.0), False)):
+            f = SvdFactors(u=f.u, sigma=np.array([1.0, sigma]), v=f.v)
+            assert f.rank_cutoff == cutoff
+            if deficient:
+                with pytest.raises(RankDeficiencyError, match=r"component\(s\) 1: "):
+                    check_rank(f, np.s_[:])
+            else:
+                check_rank(f, np.s_[:])
+
     def test_only_the_columns_asked_for(self):
         f = self.factors(4, 2)
         check_rank(f, np.s_[:2])

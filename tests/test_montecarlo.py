@@ -306,3 +306,26 @@ def omitted_truth_config():
     f = svd_thin(x)
     coeff = np.sqrt(50.0 / 3.0) / f.sigma[2:]
     return config(x=x, beta_true=f.v[:, 2:] @ coeff, d=2, replicates=2000, seed=33)
+
+
+class TestZFloor:
+    """Signal far above the noise: every asserted z stays within the alert
+    threshold because each z floor bounds its own rounding."""
+
+    @staticmethod
+    def worst_z(col0, scale):
+        x = np.random.default_rng(0).standard_normal((40, 3))
+        x[:, 0] *= col0
+        beta = np.array([1.0, -0.5, 2.0]) * scale
+        res = run_simulation(config(x=x, beta_true=beta, sigma2_true=1e-18, d=2,
+                                    replicates=200, seed=1))
+        return max(abs(row.z) for row in theory_comparison(res) if row.asserted)
+
+    def test_rss_floor_scales_with_the_squared_mean(self):
+        # (n + R) eps |mu|^2: a floor of (n + R) eps |mu| reads |z| in the thousands.
+        assert self.worst_z(1.0, 1e8) <= 4.0
+
+    def test_slope_floor_divides_by_the_last_retained_singular_value(self):
+        # With column 0 at 1e4, s_1 / s_d is about 1e4; dividing by s_1
+        # makes the mean_beta_d floors too small by that factor.
+        assert self.worst_z(1e4, 1e4) <= 4.0
