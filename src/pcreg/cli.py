@@ -398,8 +398,8 @@ def compare_payload(data: Dataset, d: int, record: dict) -> dict:
     }
 
 
-def simulate_payload(cfg: SimulationConfig, alert_threshold: float) -> tuple[dict, bool]:
-    """Run a simulation and tabulate it; the flag reports a z alert.
+def simulate_payload(cfg: SimulationConfig, alert_threshold: float) -> dict:
+    """Run a simulation and tabulate it; ``alert`` reports a z alert.
 
     ``result`` holds the aggregates that no row prints: the mean plug-in
     variance and both slope covariances.  The mean RSS, the mean slopes
@@ -408,12 +408,7 @@ def simulate_payload(cfg: SimulationConfig, alert_threshold: float) -> tuple[dic
     """
     res = run_simulation(cfg)
     rows = theory_comparison(res)
-    adjudication = adjudicate_rss_dof(res)
-    alert = any(
-        row.asserted and math.isfinite(row.z) and abs(row.z) > alert_threshold
-        for row in rows
-    )
-    payload = {
+    return {
         "config": {
             "n": cfg.n,
             "p": cfg.p,
@@ -431,10 +426,12 @@ def simulate_payload(cfg: SimulationConfig, alert_threshold: float) -> tuple[dic
             "predicted_cov": res.predicted_cov.tolist(),
         },
         "rows": [asdict(row) for row in rows],
-        "adjudication": adjudication,
-        "alert": alert,
+        "adjudication": adjudicate_rss_dof(res),
+        "alert": any(
+            row.asserted and math.isfinite(row.z) and abs(row.z) > alert_threshold
+            for row in rows
+        ),
     }
-    return payload, alert
 
 
 # ---------------------------------------------------------------------------
@@ -719,9 +716,9 @@ def _run_simulate(args: argparse.Namespace) -> int:
     if not (math.isfinite(threshold) and threshold >= 0.0):
         raise ValidationError(f"--alert-threshold must be finite and >= 0; got {threshold}")
     cfg = load_simulation_config(args.config, seed_override=args.seed)
-    payload, alert = simulate_payload(cfg, threshold)
+    payload = simulate_payload(cfg, threshold)
     _emit(args, payload, render_simulate_table)
-    return EXIT_ALERT if alert else EXIT_OK
+    return EXIT_ALERT if payload["alert"] else EXIT_OK
 
 
 def main(argv: list[str] | None = None) -> int:

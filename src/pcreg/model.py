@@ -25,7 +25,8 @@ class Dataset:
 
     The design matrix contains the intercept column when one is used; set
     ``intercept_included`` accordingly so downstream standardization can
-    exempt it.  Construction validates that all values are finite, that
+    exempt it.  Without ``names`` the columns are labelled x1..xp.
+    Construction validates that all values are finite, that
     1 <= p < n, and (when flagged) that column 0 is all ones; a second
     all-ones column is left to the rank check.  ``x`` and ``y`` are
     read-only copies of the inputs, so ``factors`` and ``scores``, computed
@@ -46,7 +47,7 @@ class Dataset:
         if not (np.all(np.isfinite(x)) and np.all(np.isfinite(y))):
             raise ValidationError("dataset contains non-finite values")
         if self.names is None:
-            names = default_names(p)
+            names = tuple(f"x{j + 1}" for j in range(p))
         else:
             names = tuple(str(c) for c in self.names)
             if len(names) != p:
@@ -259,21 +260,3 @@ def sigma2_d_three_forms(
     form3 = ((n - 1) * retained_sum - yty * (d - 1)) / (n - d)
     return form1, form2, form3
 
-
-def default_names(p: int) -> tuple[str, ...]:
-    """Generated column labels x1..xp for synthetic designs."""
-    return tuple(f"x{j + 1}" for j in range(p))
-
-
-__all__ = [
-    "Dataset",
-    "OlsEstimate",
-    "PcrEstimate",
-    "component_fit",
-    "fit_ols",
-    "fit_pcr",
-    "beta_additivity_check",
-    "recover_ols_sigma2",
-    "sigma2_d_three_forms",
-    "default_names",
-]

@@ -22,8 +22,8 @@ the key ``seed`` with the counter set to ``[0, 0, b, 0]``, the state that
 r mod 64 of the 64 x n standard normals drawn from block r // 64.  One
 generator is built per run and seeked once per stream block.
 Results depend only on ``(seed, replicate)`` and the constant 64, never on
-execution order or block sizes; aggregation reduces over replicate-indexed
-arrays, keeping output bits independent of any parallel scheduling of the
+execution order or block sizes; aggregation reduces one replicate-indexed
+array, keeping output bits independent of any parallel scheduling of the
 stream blocks themselves.
 The design is factored and checked for full column rank once per run.
 Replicates are drawn and fitted in blocks, each block of responses in one
@@ -57,10 +57,19 @@ MAX_REPLICATES = 10**6
 SEED_LIMIT = 2**128
 # Covariance rows need enough replicates for a meaningful matrix estimate.
 COVARIANCE_MIN_REPLICATES = 1000
-# Replicates are drawn and fitted in blocks of the largest power of two up to
-# max(1, BLOCK_VALUES // n) rows, at most STREAM_BLOCK, so a block holds at most
-# this many doubles per array wherever n <= BLOCK_VALUES.
+# A fit block (see fit_block_rows) holds at most this many doubles per array
+# wherever n <= BLOCK_VALUES.
 BLOCK_VALUES = 2**14
+
+
+def fit_block_rows(n: int) -> int:
+    """Replicates per fit block at n observations.
+
+    The largest power of two up to ``max(1, BLOCK_VALUES // n)``, at most
+    ``STREAM_BLOCK``, so each fit block lies inside one stream block.
+    ``BLOCK_VALUES`` is read at each call.
+    """
+    return min(STREAM_BLOCK, 1 << (max(1, BLOCK_VALUES // n).bit_length() - 1))
 
 
 @dataclass(frozen=True)
@@ -223,7 +232,10 @@ def run_simulation(cfg: SimulationConfig) -> SimulationResult:
     any fit-block size.  Each block of responses is fitted
     with one ``component_fit`` call, the kernel ``fit_pcr`` uses, so every
     replicate's retained slopes and residual sum of squares carry the bits
-    of its ``fit_pcr`` fit; only these are computed.  The predictions
+    of its ``fit_pcr`` fit; only these are computed.  They are kept as the
+    rows of one (1 + p) x R array, RSS_d first, and reduced once: its row
+    means and its covariance give every aggregate, the plug-in variance's
+    mean and MCSE being the RSS_d ones over n - d.  The predictions
     come from the truth and the design alone: the retained part of
     ``beta_true`` as the slopes' mean, ``sigma2_true V_d S_d^-2 V_d^T`` as
     their covariance, and the RSS and bias expectations under both dof
@@ -237,11 +249,10 @@ def run_simulation(cfg: SimulationConfig) -> SimulationResult:
     sd = math.sqrt(cfg.sigma2_true)
 
     reps = cfg.replicates
-    rss_d_draws = np.empty(reps)
-    beta_d_draws = np.empty((reps, p))
+    # Row 0 holds each replicate's RSS_d, rows 1..p its retained slopes.
+    draws = np.empty((1 + p, reps))
     seek = _replicate_seeker(cfg.seed)
-    # A power of two up to STREAM_BLOCK rows, so each fit block lies inside one stream block.
-    z = np.empty((min(STREAM_BLOCK, 1 << (max(1, BLOCK_VALUES // n).bit_length() - 1)), n))
+    z = np.empty((fit_block_rows(n), n))
     for start in range(0, reps, len(z)):
         if start % STREAM_BLOCK == 0:
             rng = seek(start // STREAM_BLOCK)
@@ -250,10 +261,10 @@ def run_simulation(cfg: SimulationConfig) -> SimulationResult:
         y *= sd  # in place: the bits of mu + sd * y, without its two temporaries
         y += mu
         block = np.s_[start : start + len(y)]
-        beta_d_draws[block], rss_d_draws[block] = component_fit(
-            f, y, np.matvec(f.u.T, y), np.s_[:d]
-        )
-    sigma2_d_draws = rss_d_draws / (n - d)
+        beta, draws[0, block] = component_fit(f, y, np.matvec(f.u.T, y), np.s_[:d])
+        draws[1:, block] = beta.T
+    mean = np.mean(draws, axis=1)
+    cov = np.cov(draws, ddof=1)
 
     # Ground-truth decomposition of beta over retained/omitted loadings.
     omitted = f.v[:, d:].T @ cfg.beta_true
@@ -266,13 +277,13 @@ def run_simulation(cfg: SimulationConfig) -> SimulationResult:
     # which reaches slope j through at most max_q |v_jq|.
     norm_mu = math.hypot(*mu)  # no overflow in the squares
     rounding = (n + reps) * np.finfo(float).eps * norm_mu
-    root = math.sqrt(reps)
+    mcse = np.sqrt(np.diag(cov)) / math.sqrt(reps)
     res = SimulationResult(
         config=cfg,
-        mean_sigma2_d=float(np.mean(sigma2_d_draws)),
-        mean_rss_d=float(np.mean(rss_d_draws)),
-        mean_beta_d=np.mean(beta_d_draws, axis=0),
-        empirical_cov_beta_d=np.cov(beta_d_draws, rowvar=False, ddof=1),
+        mean_sigma2_d=float(mean[0]) / (n - d),
+        mean_rss_d=float(mean[0]),
+        mean_beta_d=mean[1:],
+        empirical_cov_beta_d=cov[1:, 1:],
         predicted_mean_beta_d=beta_d_true,
         predicted_cov=gram_pseudo_inverse(f, np.s_[:d]) * cfg.sigma2_true,
         predicted_bias_nd_dof=omitted_quad / (n - d),
@@ -280,9 +291,9 @@ def run_simulation(cfg: SimulationConfig) -> SimulationResult:
         + omitted_quad / (n - d),
         predicted_rss_nd_dof=cfg.sigma2_true * (n - d) + omitted_quad,
         predicted_rss_np_dof=cfg.sigma2_true * (n - p) + omitted_quad,
-        mcse_sigma2_d=float(np.std(sigma2_d_draws, ddof=1)) / root,
-        mcse_rss_d=float(np.std(rss_d_draws, ddof=1)) / root,
-        mcse_beta_d=np.std(beta_d_draws, axis=0, ddof=1) / root,
+        mcse_sigma2_d=float(mcse[0]) / (n - d),
+        mcse_rss_d=float(mcse[0]),
+        mcse_beta_d=mcse[1:],
         z_floor_rss=rounding * norm_mu,
         z_floor_beta_d=rounding / f.sigma[d - 1] * np.max(np.abs(f.v[:, :d]), axis=1),
     )

@@ -1258,6 +1258,26 @@ class TestSimulate:
             row = rows[f"mean_beta_d[{j}]"]
             assert (row["observed"], row["mcse"]) == (res.mean_beta_d[j], res.mcse_beta_d[j])
 
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_rows_and_result_come_from_one_reduction(self, tmp_path, capsys, seed):
+        # One mean and one covariance of (RSS_d, beta_d) give every
+        # aggregate, so these relations hold exactly, not to rounding.
+        x = np.random.default_rng(9).standard_normal((50, 4))
+        path = write_sim_config(tmp_path, x=x.tolist(), beta_true=[1.0, 0.5, 0.0, 0.0],
+                                replicates=1000, seed=seed)
+        assert main(["simulate", "--config", str(path), "--format", "json"]) == EXIT_OK
+        payload = json.loads(capsys.readouterr().out)
+        result, dof = payload["result"], 50 - 2
+        rows = {row["claim"]: row for row in payload["rows"]}
+        for j in range(4):
+            cov_jj = result["empirical_cov_beta_d"][j][j]
+            assert rows[f"mean_beta_d[{j}]"]["mcse"] == math.sqrt(cov_jj) / math.sqrt(1000), j
+        rss = rows["mean_rss_d (n-d dof)"]
+        assert rows["mean_rss_d (n-p dof)"]["mcse"] == rss["mcse"]
+        for bias in ("bias_sigma2_d (n-d dof)", "bias_sigma2_d (n-p dof)"):
+            assert rows[bias]["mcse"] == rss["mcse"] / dof, bias
+        assert result["mean_sigma2_d"] == rss["observed"] / dof
+
     def test_seed_override_changes_output(self, tmp_path):
         path = write_sim_config(tmp_path)
         out1, out2 = tmp_path / "a.json", tmp_path / "b.json"

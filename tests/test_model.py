@@ -26,7 +26,7 @@ from pcreg.model import (
     recover_ols_sigma2,
     sigma2_d_three_forms,
 )
-from pcreg.montecarlo import BLOCK_VALUES, STREAM_BLOCK
+from pcreg.montecarlo import fit_block_rows
 
 TOY_X = np.array([[1.0, 0.0], [0.0, 2.0], [0.0, 0.0]])
 TOY_Y = np.array([1.0, 2.0, 3.0])
@@ -281,7 +281,7 @@ class TestComponentFit:
         # STREAM_BLOCK rows), on columns scaled over 6 decades.
         rng = np.random.default_rng(n * 100 + p * 10 + d)
         f = checked_factors(rng.standard_normal((n, p)) * np.logspace(0.0, -6.0, p))
-        block = min(STREAM_BLOCK, 1 << (max(1, BLOCK_VALUES // n).bit_length() - 1))
+        block = fit_block_rows(n)
         for reps in (block - 1, block + 1):
             y = rng.standard_normal((reps, n)) * 3.0 + 1.0
             scores = np.matvec(f.u.T, y)

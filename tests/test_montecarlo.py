@@ -15,14 +15,13 @@ from pcreg.linalg import svd_thin
 from pcreg.model import Dataset, fit_pcr
 from pcreg import montecarlo
 from pcreg.montecarlo import (
-    BLOCK_VALUES,
     COVARIANCE_MIN_REPLICATES,
     MAX_REPLICATES,
-    STREAM_BLOCK,
     SimulationConfig,
     _replicate_seeker,
     _rss_rows,
     adjudicate_rss_dof,
+    fit_block_rows,
     run_simulation,
     theory_comparison,
 )
@@ -85,18 +84,20 @@ def reference_aggregates(cfg):
     errors = [jumped_rng(cfg.seed, r // 64).standard_normal((64, cfg.n))[r % 64]
               for r in range(cfg.replicates)]
     fits = [fit_pcr(Dataset(y=mu + sd * e, x=cfg.x), cfg.d) for e in errors]
-    sigma2 = np.array([fit.sigma2_d for fit in fits])
-    rss = np.array([fit.rss_d for fit in fits])
-    beta = np.array([fit.beta_d for fit in fits])
-    root = math.sqrt(cfg.replicates)
+    # One row per quantity, each row contiguous: numpy sums a strided view
+    # in another order.
+    draws = np.array([[fit.rss_d for fit in fits], *zip(*(fit.beta_d for fit in fits))])
+    mean, cov = np.mean(draws, axis=1), np.cov(draws, ddof=1)
+    mcse = np.sqrt(np.diag(cov)) / math.sqrt(cfg.replicates)
+    dof = cfg.n - cfg.d
     return {
-        "mean_beta_d": np.mean(beta, axis=0),
-        "empirical_cov_beta_d": np.cov(beta, rowvar=False, ddof=1),
-        "mean_sigma2_d": float(np.mean(sigma2)),
-        "mean_rss_d": float(np.mean(rss)),
-        "mcse_sigma2_d": float(np.std(sigma2, ddof=1)) / root,
-        "mcse_rss_d": float(np.std(rss, ddof=1)) / root,
-        "mcse_beta_d": np.std(beta, axis=0, ddof=1) / root,
+        "mean_beta_d": mean[1:],
+        "empirical_cov_beta_d": cov[1:, 1:],
+        "mean_sigma2_d": float(mean[0]) / dof,
+        "mean_rss_d": float(mean[0]),
+        "mcse_sigma2_d": float(mcse[0]) / dof,
+        "mcse_rss_d": float(mcse[0]),
+        "mcse_beta_d": mcse[1:],
     }
 
 
@@ -170,7 +171,7 @@ class TestReplicateStreams:
         # blocks, one per stream block, and a last one of 44 replicates; at
         # n = 1000 the fit blocks hold 16 rows, four to a stream block, so the
         # second stream block is drawn in pieces and ends in a 4-row block.
-        rows = min(STREAM_BLOCK, 1 << (max(1, BLOCK_VALUES // cfg.n).bit_length() - 1))
+        rows = fit_block_rows(cfg.n)
         assert rows < cfg.replicates and cfg.replicates % rows
         res, ref = run_simulation(cfg), reference_aggregates(cfg)
         for name, expected in ref.items():
