@@ -25,6 +25,7 @@ import reprlib
 import sys
 from dataclasses import asdict, fields
 from functools import cache, partial
+from itertools import islice
 from pathlib import Path
 from typing import NoReturn
 
@@ -87,11 +88,12 @@ def load_csv(path: str | Path, response: str, add_intercept: bool = True) -> Dat
     Cells must parse as finite numbers with Python's ``float()`` ('.'
     radix, ',' delimiter) and read bit for bit as ``float()`` reads them.
     A UTF-8 byte-order mark before the header and blank lines at the end
-    of the file are ignored.  A data block of plain numbers is read by
-    numpy's C reader (``_numeric_table``); every other text goes through
-    ``csv.reader`` and ``float()`` cell by cell, the only path that
-    reports errors: the first bad row or cell in row-major order, named
-    by the physical line it ends on.
+    of the file are ignored.  One ``csv.reader`` reads the header, quoted
+    or not and on as many lines as its cells span.  The lines after it go
+    to numpy's C reader when they are plain numbers (``_numeric_table``);
+    otherwise the same reader carries on and ``float()`` reads each cell,
+    the only path that reports errors: the first bad row or cell in
+    row-major order, named by the physical line it ends on.
     The response column is excluded from the design; remaining columns
     keep file order, with an all-ones Intercept column prepended when
     ``add_intercept`` is set; a design column of that name is then an
@@ -105,11 +107,17 @@ def load_csv(path: str | Path, response: str, add_intercept: bool = True) -> Dat
     except UnicodeDecodeError as exc:
         raise DataFormatError(f"{path}: not valid UTF-8: {exc}") from None
 
-    table = _numeric_table(text)
-    if table is None:
-        header, rows = _csv_rows(path, text)
-    else:
-        header, values = table
+    reader = csv.reader(_lines(text))
+    try:
+        header = next(reader, [])
+        values = _numeric_table(text, reader.line_num, len(header))
+        rows = [(reader.line_num, row) for row in reader] if values is None else []
+    except csv.Error as exc:  # a field over csv's size limit, say
+        raise DataFormatError(f"{path}: line {reader.line_num}: {exc}") from None
+    while rows and not rows[-1][1]:
+        rows.pop()
+    if not (header or rows):
+        raise DataFormatError(f"{path}: empty file (line 1: header row required)")
     header = [cell.strip() for cell in header]
     if any(not name for name in header):
         raise DataFormatError(f"{path}: line 1: blank column name in header")
@@ -119,7 +127,7 @@ def load_csv(path: str | Path, response: str, add_intercept: bool = True) -> Dat
     if response not in header:
         raise DataFormatError(f"{path}: response column {reprlib.repr(response)} "
                               f"not in header {reprlib.repr(header)}")
-    if table is None:
+    if values is None:
         values = _cell_values(path, header, rows)
 
     ncol = len(header)
@@ -142,10 +150,10 @@ def load_csv(path: str | Path, response: str, add_intercept: bool = True) -> Dat
 _NUMBER_BYTES = b"0123456789.eE+-, \t\n"
 
 
-def _numeric_table(text: str) -> tuple[list[str], np.ndarray] | None:
-    r"""The header cells and the values of ``text``, when numpy's C reader
-    reads its data block exactly as ``csv.reader`` and ``float()`` do;
-    otherwise None.
+def _numeric_table(text: str, start: int, ncol: int) -> np.ndarray | None:
+    r"""The values of the lines of ``text`` after the ``start`` lines of its
+    header, when numpy's C reader reads them exactly as ``csv.reader`` and
+    ``float()`` do; otherwise None.
 
     ``np.loadtxt`` converts each cell with the ``PyOS_string_to_double``
     that ``float()`` calls, but it skips inner blank lines, ends a row at
@@ -153,14 +161,17 @@ def _numeric_table(text: str) -> tuple[list[str], np.ndarray] | None:
     quoted cells, "_" digit separators and non-ASCII digits.  So the data
     block is read here only if it holds nothing but ``_NUMBER_BYTES``, no
     line is longer than csv's field limit, and the result has one row per
-    line, one column per header cell and only finite values.  Every other
-    text, malformed or not, is left to ``_csv_rows`` and ``_cell_values``.
+    line, ``ncol`` columns and only finite values.  Every other text,
+    malformed or not, is left to ``csv.reader`` and ``_cell_values``.
     """
-    head, _, body = text.partition("\n")
-    # A quote in the header may open a cell that runs on into later lines.
-    if '"' in head or body.encode().translate(None, _NUMBER_BYTES):
+    # The data block holds only _NUMBER_BYTES if the whole text holds no
+    # more other bytes than its header lines.  They are counted before the
+    # split, which copies the text.
+    head = "".join(islice(_lines(text), start))
+    if (len(text.encode().translate(None, _NUMBER_BYTES))
+            != len(head.encode().translate(None, _NUMBER_BYTES))):
         return None
-    lines = body.split("\n")
+    lines = text.split("\n")[start:]
     while lines and not lines[-1]:
         lines.pop()
     if not lines or max(map(len, lines)) > csv.field_size_limit():
@@ -168,43 +179,27 @@ def _numeric_table(text: str) -> tuple[list[str], np.ndarray] | None:
     # The last line is not blank, so np.loadtxt reads a row from it or
     # fails; it cannot warn "input contained no data".
     try:
-        header = next(csv.reader([head]))
         values = np.loadtxt(lines, delimiter=",", comments=None, dtype=float, ndmin=2)
-    except (csv.Error, ValueError):
+    except ValueError:
         return None
-    if values.shape != (len(lines), len(header)) or not np.isfinite(values).all():
+    if values.shape != (len(lines), ncol) or not np.isfinite(values).all():
         return None
-    return header, values
+    return values
 
 
 def _lines(text: str):
     """The lines of ``text`` as iterating ``io.StringIO(text)`` yields them,
-    without the buffer that holds a second copy of the whole text.
+    without a buffer or a list that holds a second copy of the whole text.
 
     A line ends only after a "\n", which it keeps, so ``csv.reader``
     leaves a quoted newline in its cell.
     """
-    *lines, last = text.split("\n")
-    for line in lines:
-        yield line + "\n"
-    if last:
-        yield last
-
-
-def _csv_rows(path: Path, text: str) -> tuple[list[str], list[tuple[int, list[str]]]]:
-    """The header cells and the data rows of ``text`` as ``csv.reader``
-    reads them, each data row with the physical line it ends on; blank
-    rows at the end are dropped."""
-    reader = csv.reader(_lines(text))
-    try:
-        rows = [(reader.line_num, row) for row in reader]
-    except csv.Error as exc:  # a field over csv's size limit, say
-        raise DataFormatError(f"{path}: line {reader.line_num}: {exc}") from None
-    while rows and not rows[-1][1]:
-        rows.pop()
-    if not rows:
-        raise DataFormatError(f"{path}: empty file (line 1: header row required)")
-    return rows[0][1], rows[1:]
+    start = 0
+    while end := text.find("\n", start) + 1:
+        yield text[start:end]
+        start = end
+    if start < len(text):
+        yield text[start:]
 
 
 def _cell_values(path: Path, header: list[str], rows: list[tuple[int, list[str]]]) -> np.ndarray:

@@ -76,8 +76,11 @@ class Dataset:
 
     @cached_property
     def scores(self) -> np.ndarray:
-        """``U^T y``, the projection of y on every component (read-only)."""
-        scores = self.factors.u.T @ self.y
+        """``U^T y``, the projection of y on every component (read-only).
+
+        Computed as ``run_simulation`` computes each replicate's, so a
+        simulated fit has the bits of the fit of a Dataset."""
+        scores = np.matvec(self.factors.u.T, self.y)
         scores.setflags(write=False)
         return scores
 

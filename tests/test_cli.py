@@ -89,8 +89,18 @@ def load_outcome(path, response="y"):
 
 def reference_outcome(path, response="y"):
     """load_outcome with numpy's reader switched off: csv.reader and float()."""
-    with mock.patch.object(cli, "_numeric_table", lambda text: None):
+    with mock.patch.object(cli, "_numeric_table", return_value=None):
         return load_outcome(path, response)
+
+
+def assert_numpy_reader_loads(cases):
+    """Each (path, response) loads, with the reference reader mocked to
+    raise, to the names and bits of its reference outcome."""
+    expected = [reference_outcome(path, response) for path, response in cases]
+    with mock.patch.object(cli, "_cell_values", side_effect=AssertionError("reference ran")):
+        got = [load_outcome(path, response) for path, response in cases]
+    assert got == expected
+    assert all(len(outcome) == 3 for outcome in got)  # loaded, not an error
 
 
 def write_wide_csv(path, n=1000, m=50, seed=5):
@@ -254,20 +264,26 @@ class TestLoadCsv:
         assert load_outcome(path) == reference_outcome(path)
         # The same holds of the text itself, before reading a file turns
         # every "\r" and "\r\n" into "\n".
-        table = cli._numeric_table(text)
-        if table is not None:
-            header, rows = cli._csv_rows(path, text)
-            assert table[0] == header
-            assert table[1].tobytes() == cli._cell_values(path, header, rows).tobytes()
+        with mock.patch.object(Path, "read_text", return_value=text):
+            assert load_outcome(path) == reference_outcome(path)
 
     def test_plain_numbers_take_the_numpy_reader(self, tmp_path):
-        # The fixture and a wide design load without csv.reader, to the same bits.
+        # The fixture and a wide design load without the reference reader,
+        # to the same bits.
         cases = [(fixture_path(), "cost"), (write_wide_csv(tmp_path / "wide.csv"), "y")]
-        expected = [reference_outcome(path, response) for path, response in cases]
-        with mock.patch.object(cli, "_csv_rows", side_effect=AssertionError("csv.reader ran")):
-            got = [load_outcome(path, response) for path, response in cases]
-        assert got == expected
-        assert [len(outcome) for outcome in got] == [3, 3]  # loaded, not an error
+        assert_numpy_reader_loads(cases)
+
+    @pytest.mark.parametrize("header", [
+        '"cost","output","wage","labor_cs","capital_price","capital_cs","fuel_price","fuel_cs"',
+        'cost,"out\nput",wage,labor_cs,capital_price,capital_cs,fuel_price,fuel_cs',
+    ], ids=["r-write-csv", "name-over-two-lines"])
+    def test_quoted_header_takes_the_numpy_reader(self, tmp_path, header):
+        # R's write.csv quotes every name, and a quoted name may hold a
+        # newline; the data block after such a header is still plain numbers.
+        body = fixture_path().read_text(encoding="utf-8").partition("\n")[2]
+        path = tmp_path / "quoted.csv"
+        path.write_text(header + "\n" + body, encoding="utf-8")
+        assert_numpy_reader_loads([(path, "cost")])
 
     def test_field_over_the_csv_limit_exit(self, tmp_path):
         for name, text, line in [

@@ -57,6 +57,9 @@ MUTANTS = (
            "an omitted-space standard error equal to OLS's is flagged"),
     Mutant("src/pcreg/cli.py", "if len(message) > 160:", "if len(message) > 1600:",
            "a usage error up to 1,600 characters is echoed whole"),
+    Mutant("src/pcreg/cli.py", "_numeric_table(text, reader.line_num, len(header))",
+           "_numeric_table(text, 1, len(header))",
+           "the data block starts at physical line 2 whatever the header's length"),
 )
 
 TIER1 = ("-m", "pytest", "-q", "-x", "--continue-on-collection-errors")
