@@ -90,10 +90,11 @@ def load_csv(path: str | Path, response: str, add_intercept: bool = True) -> Dat
     A UTF-8 byte-order mark before the header and blank lines at the end
     of the file are ignored.  One ``csv.reader`` reads the header, quoted
     or not and on as many lines as its cells span.  The lines after it go
-    to numpy's C reader when they are plain numbers (``_numeric_table``);
-    otherwise the same reader carries on and ``float()`` reads each cell,
-    the only path that reports errors: the first bad row or cell in
-    row-major order, named by the physical line it ends on.
+    to numpy's C reader when they are numbers, quoted or not
+    (``_numeric_table``); otherwise the same reader carries on and
+    ``float()`` reads each cell, the only path that reports errors: the
+    first bad row or cell in row-major order, named by the physical line
+    it ends on.
     The response column is excluded from the design; remaining columns
     keep file order, with an all-ones Intercept column prepended when
     ``add_intercept`` is set; a design column of that name is then an
@@ -146,8 +147,9 @@ def load_csv(path: str | Path, response: str, add_intercept: bool = True) -> Dat
 
 
 # The bytes of a data block that numpy's reader may take: with these alone,
-# every line is one csv row and every cell reads as float() reads it.
-_NUMBER_BYTES = b"0123456789.eE+-, \t\n"
+# every cell reads as csv.reader and float() read it, but a quoted newline
+# joins two lines into one of numpy's rows, which the shape check catches.
+_NUMBER_BYTES = b'0123456789.eE+-, \t\n"'
 
 
 def _numeric_table(text: str, start: int, ncol: int) -> np.ndarray | None:
@@ -156,13 +158,15 @@ def _numeric_table(text: str, start: int, ncol: int) -> np.ndarray | None:
     ``float()`` do; otherwise None.
 
     ``np.loadtxt`` converts each cell with the ``PyOS_string_to_double``
-    that ``float()`` calls, but it skips inner blank lines, ends a row at
-    a bare "\r" and strips "\x1c"-"\x1f" as whitespace, and it rejects
-    quoted cells, "_" digit separators and non-ASCII digits.  So the data
-    block is read here only if it holds nothing but ``_NUMBER_BYTES``, no
-    line is longer than csv's field limit, and the result has one row per
-    line, ``ncol`` columns and only finite values.  Every other text,
-    malformed or not, is left to ``csv.reader`` and ``_cell_values``.
+    that ``float()`` calls and unquotes a cell as ``csv.reader`` does, but
+    it skips inner blank lines, ends a row at a bare "\r", strips
+    "\x1c"-"\x1f" as whitespace, rejects "_" digit separators and
+    non-ASCII digits, and joins the lines a quoted newline spans into one
+    row without the newline.  So the data block is read here only if it
+    holds nothing but ``_NUMBER_BYTES``, no line is longer than csv's field
+    limit, and the result has one row per line, ``ncol`` columns and only
+    finite values.  Every other text, malformed or not, is left to
+    ``csv.reader`` and ``_cell_values``.
     """
     # The data block holds only _NUMBER_BYTES if the whole text holds no
     # more other bytes than its header lines.  They are counted before the
@@ -179,7 +183,7 @@ def _numeric_table(text: str, start: int, ncol: int) -> np.ndarray | None:
     # The last line is not blank, so np.loadtxt reads a row from it or
     # fails; it cannot warn "input contained no data".
     try:
-        values = np.loadtxt(lines, delimiter=",", comments=None, dtype=float, ndmin=2)
+        values = np.loadtxt(lines, delimiter=",", comments=None, quotechar='"', ndmin=2)
     except ValueError:
         return None
     if values.shape != (len(lines), ncol) or not np.isfinite(values).all():
@@ -214,14 +218,7 @@ def _cell_values(path: Path, header: list[str], rows: list[tuple[int, list[str]]
             raise DataFormatError(
                 f"{path}: line {line_no}: expected {ncol} cells, got {len(row)}"
             )
-        try:
-            cells = list(map(float, row))
-            if all(map(math.isfinite, cells)):
-                values[i] = cells
-                continue
-        except ValueError:
-            pass
-        for j, cell in enumerate(row):  # the row holds a bad cell: find the first
+        for j, cell in enumerate(row):
             try:
                 v = float(cell)
             except ValueError:
@@ -234,6 +231,7 @@ def _cell_values(path: Path, header: list[str], rows: list[tuple[int, list[str]]
                     f"{path}: row at line {line_no}, column {reprlib.repr(header[j])}: "
                     f"non-finite value {reprlib.repr(cell.strip())}"
                 )
+            values[i, j] = v
     return values
 
 
@@ -589,7 +587,12 @@ def _emit(args: argparse.Namespace, payload: dict, render_table) -> None:
     """Write ``payload`` as JSON or as ``render_table`` draws it, to ``--out`` or stdout."""
     text = render_json(payload) if args.format == "json" else render_table(payload)
     if args.out is None:
-        sys.stdout.write(text)
+        try:
+            sys.stdout.write(text)
+        except UnicodeEncodeError as exc:  # a column name; JSON escapes non-ASCII
+            char = reprlib.repr(exc.object[exc.start:exc.end])
+            raise ValidationError(f"stdout cannot encode {char}; pass --out to write the table "
+                                  "as UTF-8") from None
     else:
         Path(args.out).write_text(text, encoding="utf-8")
 

@@ -169,6 +169,12 @@ class TestLoadCsv:
         with pytest.raises(DataFormatError, match="duplicate"):
             load_csv(path, "y")
 
+    def test_blank_header_name(self, tmp_path):
+        path = tmp_path / "blank.csv"
+        path.write_text("y, ,a\n1,2,3\n", encoding="utf-8")
+        with pytest.raises(DataFormatError, match="line 1: blank column name in header"):
+            load_csv(path, "y")
+
     def test_missing_response(self, toy_csv):
         with pytest.raises(DataFormatError, match="response"):
             load_csv(toy_csv, "nope")
@@ -250,11 +256,16 @@ class TestLoadCsv:
     @example(head="y,a", body="\x1c1,2\n3,4\n")  # numpy strips "\x1c"; float() does not
     @example(head="y,a", body="1_0,2\n3,4\n")  # float() reads "_" separators; numpy does not
     @example(head="y,a", body="\u0661,2\n3,4\n")  # nor non-ASCII digits
-    @example(head="y,a", body='"1",2\n3,"4"\n')  # nor quoted cells
+    @example(head="y,a", body='"1",2\n3,"4"\n')  # numpy unquotes a cell as csv does
     @example(head="y,a", body="\n\n")  # on no data rows np.loadtxt would warn
     @example(head="y,a", body="1,2\n\n")
     @example(head="y,a", body=" \n")
     @example(head="y,a", body="1,0." + "0" * 140_000 + "1\n2,3\n")  # csv's field limit
+    @example(head="y,a,b", body='1,"2\n3",4\n')  # numpy joins a quoted newline's lines
+    @example(head="y,a", body='1,2\n3,"4\n')  # an open quote on the last line
+    @example(head="y,a", body='"1"2,3\n')  # text after a closing quote joins the cell
+    @example(head="y,a", body='"1" ,2\n3, "4"\n')  # a space after and before a quote
+    @example(head="y,a", body='"",2\n')  # an empty quoted cell
     def test_numpy_reader_matches_csv_and_float(self, tmp_path_factory, head, body):
         # numpy's reader may only speed a load up: the names, the array bits
         # and every error text are those of csv.reader and float().
@@ -273,17 +284,30 @@ class TestLoadCsv:
         cases = [(fixture_path(), "cost"), (write_wide_csv(tmp_path / "wide.csv"), "y")]
         assert_numpy_reader_loads(cases)
 
-    @pytest.mark.parametrize("header", [
-        '"cost","output","wage","labor_cs","capital_price","capital_cs","fuel_price","fuel_cs"',
-        'cost,"out\nput",wage,labor_cs,capital_price,capital_cs,fuel_price,fuel_cs',
-    ], ids=["r-write-csv", "name-over-two-lines"])
-    def test_quoted_header_takes_the_numpy_reader(self, tmp_path, header):
+    @pytest.mark.parametrize("source, header", [
+        ("fixture", '"cost","output","wage","labor_cs","capital_price","capital_cs",'
+                    '"fuel_price","fuel_cs"'),
+        ("fixture", 'cost,"out\nput",wage,labor_cs,capital_price,capital_cs,fuel_price,fuel_cs'),
+        ("fixture", None),
+        ("wide", None),
+    ], ids=["r-write-csv", "name-over-two-lines", "all-quoted-fixture", "all-quoted-wide"])
+    def test_quoted_header_takes_the_numpy_reader(self, tmp_path, source, header):
         # R's write.csv quotes every name, and a quoted name may hold a
-        # newline; the data block after such a header is still plain numbers.
-        body = fixture_path().read_text(encoding="utf-8").partition("\n")[2]
+        # newline.  With no header given, every name and every number is
+        # quoted, as csv.writer(quoting=csv.QUOTE_ALL) writes them.
+        source, response = ((fixture_path(), "cost") if source == "fixture"
+                            else (write_wide_csv(tmp_path / "wide.csv"), "y"))
+        text = source.read_text(encoding="utf-8")
+        if header is None:
+            quoted = io.StringIO()
+            csv.writer(quoted, quoting=csv.QUOTE_ALL, lineterminator="\n").writerows(
+                csv.reader(io.StringIO(text)))
+            text = quoted.getvalue()
+        else:
+            text = header + "\n" + text.partition("\n")[2]
         path = tmp_path / "quoted.csv"
-        path.write_text(header + "\n" + body, encoding="utf-8")
-        assert_numpy_reader_loads([(path, "cost")])
+        path.write_text(text, encoding="utf-8")
+        assert_numpy_reader_loads([(path, response)])
 
     def test_field_over_the_csv_limit_exit(self, tmp_path):
         for name, text, line in [
@@ -325,6 +349,11 @@ class TestStandardize:
         out, record = standardize(data, "none")
         assert out is data
         assert record["mode"] == "none"
+
+    def test_unknown_mode_rejected(self, toy_csv):
+        data = load_csv(toy_csv, "y", add_intercept=False)
+        with pytest.raises(ValidationError, match="unknown standardize mode 'bogus'"):
+            standardize(data, "bogus")
 
     def test_center_subtracts_means_intercept_exempt(self, tmp_path):
         path = tmp_path / "c.csv"
@@ -579,6 +608,14 @@ class TestRenderJson:
         want = json.dumps(json_reference(payload), sort_keys=True, indent=2, allow_nan=False)
         assert render_json(payload) == want + "\n"
 
+    def test_unsupported_type_raises_as_json_dumps_does(self):
+        payload = {"a": [1.5, {1, 2}]}
+        with pytest.raises(TypeError) as want:
+            json.dumps(payload)
+        with pytest.raises(TypeError) as got:
+            render_json(payload)
+        assert str(got.value) == str(want.value)
+
 
 PCREG_MODULES = (pcreg, pcreg.cli, pcreg.linalg, pcreg.model, pcreg.diagnostics,
                  pcreg.montecarlo)
@@ -796,7 +833,7 @@ class TestMainExitCodes:
 
     @pytest.mark.parametrize(
         "case", ["fit-input-directory", "simulate-config-directory", "out-in-missing-directory",
-                 "missing-input"],
+                 "missing-input", "missing-config"],
     )
     def test_unreadable_path_exit(self, toy_csv, tmp_path, case):
         argv = {
@@ -807,12 +844,13 @@ class TestMainExitCodes:
                                          "--out", str(tmp_path / "missing" / "x.json")],
             "missing-input": ["fit", "--input", str(tmp_path / "missing.csv"),
                               "--response", "y"],
+            "missing-config": ["simulate", "--config", str(tmp_path / "missing.json")],
         }[case]
         code, out, err = run_main(argv)
         assert code == EXIT_USAGE and out == ""
         assert err.startswith("pcreg: error: ") and err.count("\n") == 1
-        if case == "missing-input":
-            assert err.endswith("missing.csv: file not found\n")
+        if case.startswith("missing-"):
+            assert err.endswith(f"{argv[2]}: file not found\n")
 
     @pytest.mark.parametrize(
         "argv",
@@ -848,6 +886,46 @@ class TestMainExitCodes:
         payload = json.loads(capsys.readouterr().out)
         np.testing.assert_allclose(payload["estimates"]["beta"], [1.0, 1.0], atol=1e-12)
         assert payload["estimates"]["dof"] == 1
+
+    @pytest.mark.parametrize("d", [None, 3])
+    def test_fit_table_matches_the_json_of_the_same_fit(self, capsys, d):
+        # The table against the JSON of the same fit, cell by cell, for OLS
+        # and for the component regression.
+        argv = ["fit", "--input", str(fixture_path()), "--response", "cost",
+                *([] if d is None else ["--d", str(d)])]
+        assert main([*argv, "--format", "json"]) == EXIT_OK
+        payload = json.loads(capsys.readouterr().out)
+        assert main(argv) == EXIT_OK
+        header, rule, *rows, blank, footer, end = capsys.readouterr().out.split("\n")
+        est, se = payload["estimates"], payload["standard_errors"]
+        if d is None:
+            key, column = "beta", "ols"
+            want = f"sigma2 = {est['sigma2']:.6g}, rss = {est['rss']:.6g}, dof = {est['dof']}"
+        else:
+            key, column = "beta_d", f"pcr_d (d={d})"
+            want = (f"sigma2_d = {est['sigma2_d']:.6g}, rss_d = {est['rss_d']:.6g}, "
+                    f"sigma2_k = {est['sigma2_k']:.6g}")
+        assert header.split("  ")[0] == "coefficient" and header.endswith(column)
+        spans = [m.span() for m in re.finditer("-+", rule)]
+        assert [[line[a:b].strip() for a, b in spans] for line in rows] == [
+            [name, f"{est[key][j]:.2g} ({se[key][j]:.2g})"]
+            for j, name in enumerate(payload["config"]["names"])
+        ]
+        assert (blank, footer, end) == ("", want, "")
+
+    def test_table_stdout_cannot_encode_exit(self, tmp_path, capsys):
+        # A column name that stdout's encoding lacks ends in one error line
+        # that points to --out, with nothing written to stdout.
+        path = tmp_path / "b.csv"
+        path.write_text("y,\u03b2x\n1,2\n2,1\n3,5\n", encoding="utf-8")
+        stdout = io.TextIOWrapper(io.BytesIO(), encoding="cp1252")
+        with contextlib.redirect_stdout(stdout):
+            code = main(["compare", "--input", str(path), "--response", "y", "--d", "1"])
+        stdout.flush()
+        assert (code, stdout.buffer.getvalue()) == (EXIT_USAGE, b"")
+        err = capsys.readouterr().err
+        assert err.startswith("pcreg: error: stdout cannot encode ") and err.count("\n") == 1
+        assert "--out" in err
 
 
 class UnlistedError(PcregError):
@@ -1068,6 +1146,15 @@ class TestSimulate:
         err = capsys.readouterr().err
         assert err.startswith("pcreg: error: the data exceed the double-precision range")
         assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("text", ["[NaN, 0.0, 0.0]", "[1.0, -Infinity, 0.0]"])
+    def test_non_finite_literal_exit(self, tmp_path, capsys, text):
+        # json.loads reads NaN and Infinity, which JSON itself does not allow.
+        path = write_raw_sim_config(tmp_path, "beta_true", text)
+        code = main(["simulate", "--config", str(path)])
+        assert code == EXIT_USAGE
+        assert capsys.readouterr().err == (
+            "pcreg: error: design or truth contains non-finite values\n")
 
     def test_replicates_floor_exit(self, tmp_path, capsys):
         path = write_sim_config(tmp_path, replicates=50)

@@ -80,6 +80,8 @@ class TestSvdThin:
                 assert col[np.argmax(np.abs(col))] > 0
 
     def test_rejects_wide_and_nonfinite(self):
+        with pytest.raises(ValidationError, match="expected a 2-d array, got ndim=1"):
+            svd_thin(np.ones(3))
         with pytest.raises(ValidationError):
             svd_thin(np.ones((2, 3)))
         with pytest.raises(ValidationError):

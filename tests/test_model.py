@@ -60,6 +60,15 @@ class TestDataset:
         with pytest.raises(ValidationError):
             Dataset(y=np.ones(5), x=x)
 
+    @pytest.mark.parametrize("kwargs, message", [
+        ({"y": np.ones(4)}, r"response must have shape \(5,\), got \(4,\)"),
+        ({"y": np.ones((5, 1))}, r"response must have shape \(5,\), got \(5, 1\)"),
+        ({"names": ("a",)}, "expected 2 column names, got 1"),
+    ], ids=["short-response", "column-response", "one-name-for-two-columns"])
+    def test_rejects_mismatched_shapes(self, kwargs, message):
+        with pytest.raises(ValidationError, match=message):
+            Dataset(**{"y": np.ones(5), "x": np.eye(5, 2), **kwargs})
+
     def test_arrays_are_read_only(self):
         x, y = np.eye(4, 2), np.arange(4.0)
         data = Dataset(y=y, x=x)

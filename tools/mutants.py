@@ -60,6 +60,11 @@ MUTANTS = (
     Mutant("src/pcreg/cli.py", "_numeric_table(text, reader.line_num, len(header))",
            "_numeric_table(text, 1, len(header))",
            "the data block starts at physical line 2 whatever the header's length"),
+    Mutant("src/pcreg/cli.py", "comments=None, quotechar='\"', ndmin=2", "comments=None, ndmin=2",
+           "numpy's reader rejects quoted cells, which fall back to csv.reader and float()"),
+    Mutant("src/pcreg/cli.py", "except UnicodeEncodeError as exc:",
+           "except UnicodeDecodeError as exc:",
+           "a table that stdout cannot encode ends in a traceback"),
 )
 
 TIER1 = ("-m", "pytest", "-q", "-x", "--continue-on-collection-errors")
