@@ -40,7 +40,6 @@ from .errors import (
     RankDeficiencyError,
     ValidationError,
 )
-from .linalg import gram_pseudo_inverse
 from .model import (
     Dataset,
     beta_additivity_check,
@@ -298,7 +297,8 @@ def fit_payload(data: Dataset, d: int | None, record: dict) -> dict:
     """Single-model fit: OLS when d is None, else the component regression.
 
     The slopes' standard errors and covariance are keyed ``beta`` for OLS
-    and ``beta_d`` for the retained components.
+    and ``beta_d`` for the retained components.  Both covariances are the
+    estimate's own, ``ols.cov`` or ``pcr.cov_d``: the CLI forms none.
     """
     if d is None:
         ols = fit_ols(data)
@@ -307,7 +307,7 @@ def fit_payload(data: Dataset, d: int | None, record: dict) -> dict:
                      "dof": ols.dof}
     else:
         pcr = fit_pcr(data, d)
-        key, cov = "beta_d", gram_pseudo_inverse(data.factors, np.s_[:d]) * pcr.sigma2_d
+        key, cov = "beta_d", pcr.cov_d
         estimates = {
             "beta_pc_d": pcr.beta_pc_d.tolist(),
             "beta_d": pcr.beta_d.tolist(),

@@ -86,14 +86,16 @@ def pcr_covariance(f: SvdFactors, ols: OlsEstimate, pcr: PcrEstimate) -> Covaria
     scaled     = cov_ols V_d V_d^T * (sigma2_d / sigma2)
     difference = {cov_ols - (sigma2 / sigma2_k) omitted} * (sigma2_d / sigma2)
 
-    An OLS residual variance that is not a normal double makes the ratios
+    ``direct`` is ``pcr.cov_d``, the same object: the fit built it once.
+    ``direct`` and ``omitted`` are exactly symmetric (see
+    ``gram_pseudo_inverse``); the two check forms need not be.  An OLS
+    residual variance that is not a normal double makes the ratios
     unreliable, so only the direct and omitted forms are returned.  At
     d = p the difference form is omitted (there is no omitted set), the
     omitted block is zero and direct = scaled = the OLS covariance.  Once
     sigma2_k is normal, sigma2 / sigma2_k <= (n - k)/(n - p) cannot
     overflow.
     """
-    direct = gram_pseudo_inverse(f, np.s_[: pcr.d]) * pcr.sigma2_d
     omitted = gram_pseudo_inverse(f, np.s_[pcr.d :]) * pcr.sigma2_k
     scaled = difference = None
     if ols.sigma2 >= sys.float_info.min:
@@ -101,7 +103,7 @@ def pcr_covariance(f: SvdFactors, ols: OlsEstimate, pcr: PcrEstimate) -> Covaria
         scaled = ols.cov @ loading_projector(f, np.s_[: pcr.d]) * ratio
         if pcr.k and pcr.sigma2_k >= sys.float_info.min:
             difference = (ols.cov - (ols.sigma2 / pcr.sigma2_k) * omitted) * ratio
-    return CovarianceSet(direct, omitted, scaled=scaled, difference=difference)
+    return CovarianceSet(pcr.cov_d, omitted, scaled=scaled, difference=difference)
 
 
 def variance_recomposition_check(

@@ -127,12 +127,15 @@ def check_rank(f: SvdFactors, cols: slice) -> None:
 def gram_pseudo_inverse(f: SvdFactors, cols: slice) -> np.ndarray:
     """Moore-Penrose pseudo-inverse ``V_s Sigma_s^-2 V_s^T`` of ``X_s^T X_s``.
 
-    Raises RankDeficiencyError (see ``check_rank``) when ``cols`` touches
-    a singular value at or below the rank cutoff.
+    Formed as ``G G^T`` with ``G = V_s Sigma_s^-1``: numpy hands the product
+    of an array with its own transpose to BLAS ``syrk``, which computes one
+    triangle and mirrors it, so the result is exactly symmetric.  Raises
+    RankDeficiencyError (see ``check_rank``) when ``cols`` touches a
+    singular value at or below the rank cutoff.
     """
     check_rank(f, cols)
-    vs = f.v[:, cols]
-    return (vs / f.sigma[cols] ** 2) @ vs.T
+    g = f.v[:, cols] / f.sigma[cols]
+    return g @ g.T
 
 
 def loading_projector(f: SvdFactors, cols: slice) -> np.ndarray:

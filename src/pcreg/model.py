@@ -105,7 +105,8 @@ class PcrEstimate:
     ``beta_pc_k`` the k omitted-component scores and ``beta_k`` the
     complementary omitted-space slopes.  ``sigma2_q`` holds
     the residual variance of the single-component regression for every
-    component, omitted ones included.
+    component, omitted ones included.  ``cov_d`` is the covariance
+    ``V_d Sigma_d^-2 V_d^T * sigma2_d`` of ``beta_d``, exactly symmetric.
     """
 
     beta_pc_d: np.ndarray
@@ -116,6 +117,7 @@ class PcrEstimate:
     sigma2_k: float
     sigma2_q: np.ndarray
     rss_d: float
+    cov_d: np.ndarray
 
     @property
     def d(self) -> int:
@@ -156,12 +158,17 @@ def component_fit(
     ``scores = U^T y``.  ``y`` is one response (shape (n,)) or a stack of
     them (shape (..., n), with scores (..., p)); every item of a stack gets
     the bits of the single-response call, since ``matvec`` and ``vecdot``
-    run the same kernel per item.  An empty ``cols`` gives zero slopes and
+    run the same kernel per item.  The residual rows are laid out with an
+    even number of doubles each, so every row starts 16-byte aligned, as a
+    lone response does: an SSE BLAS kernel sums an unaligned row in
+    another order.  An empty ``cols`` gives zero slopes and
     ``rss = |y|^2``.
     """
     s = scores[..., cols]
     beta = np.matvec(f.v[:, cols], s / f.sigma[cols])
-    resid = y - np.matvec(f.u[:, cols], s)
+    n = y.shape[-1]
+    resid = np.empty((*y.shape[:-1], n + n % 2))[..., :n]
+    np.subtract(y, np.matvec(f.u[:, cols], s), out=resid)
     return beta, np.vecdot(resid, resid)
 
 
@@ -188,8 +195,11 @@ def fit_pcr(data: Dataset, d: int) -> PcrEstimate:
 
     Returns the scores ``U_d^T y`` and ``U_k^T y``, both slope blocks, the
     residual variances of the d-, k-, and every single-component
-    regression (divisors n-d, n-k, and n-1).  ``d = p`` is allowed and
-    reproduces the OLS fit; a d outside 1..p is a ValidationError.
+    regression (divisors n-d, n-k, and n-1), and the retained slopes'
+    covariance ``cov_d``, built as ``fit_ols`` builds ``cov``, from the
+    Gram pseudo-inverse of the retained components.  ``d = p`` is allowed
+    and reproduces the OLS fit, covariance included, bit for bit; a d
+    outside 1..p is a ValidationError.
     """
     n, p = data.x.shape
     if not 1 <= d <= p:
@@ -200,6 +210,7 @@ def fit_pcr(data: Dataset, d: int) -> PcrEstimate:
     beta_d, rss_d = component_fit(f, y, scores, np.s_[:d])
     beta_k, rss_k = component_fit(f, y, scores, np.s_[d:])
     rss_d, rss_k = float(rss_d), float(rss_k)
+    sigma2_d = rss_d / (n - d)
 
     # Residuals of the p single-component regressions, one column each.
     resid_q = y[:, None] - f.u * scores
@@ -210,10 +221,11 @@ def fit_pcr(data: Dataset, d: int) -> PcrEstimate:
         beta_pc_k=scores[d:],
         beta_d=beta_d,
         beta_k=beta_k,
-        sigma2_d=rss_d / (n - d),
+        sigma2_d=sigma2_d,
         sigma2_k=rss_k / (n - (p - d)),
         sigma2_q=rss_q / (n - 1),
         rss_d=rss_d,
+        cov_d=gram_pseudo_inverse(f, np.s_[:d]) * sigma2_d,
     )
 
 

@@ -502,6 +502,7 @@ class TestComparePayload:
             payload = compare_payload(data, data.p, record)
             assert payload["estimates"]["pcr_d"] == payload["estimates"]["ols"]
             assert payload["standard_errors"]["pcr_d"] == payload["standard_errors"]["ols"]
+            assert payload["covariances"]["pcr_direct"] == payload["covariances"]["ols"]
             assert not any(payload["diagnostics"]["exceeds_ols_d"]), mode
 
     @pytest.mark.parametrize("mode", ["none", "center", "zscore"])
@@ -518,6 +519,34 @@ class TestComparePayload:
         assert payload["residuals"]["covariance_agreement"] == covariance_agreement(covs)
         assert payload["residuals"]["variance_recomposition"] == variance_recomposition_check(
             ols, pcr, covs)
+
+
+class TestSymmetricCovariances:
+    """Every covariance the CLI prints equals its transpose, entry for entry."""
+
+    @pytest.mark.parametrize("mode", ["none", "center", "zscore"])
+    def test_every_printed_covariance_is_exactly_symmetric(self, tmp_path, mode):
+        base = ["--input", str(fixture_path()), "--response", "cost", "--standardize", mode,
+                "--format", "json"]
+        runs = [["fit", *base]]
+        data, _ = standardize(load_csv(fixture_path(), "cost"), mode)
+        for d in range(1, data.p + 1):
+            runs += [["compare", *base, "--d", str(d)], ["fit", *base, "--d", str(d)]]
+        sim = write_sim_config(tmp_path, x=data.x.tolist(), beta_true=[1.0] * data.p, d=3)
+        runs.append(["simulate", "--config", str(sim), "--format", "json"])
+        checked = 0
+        for argv in runs:
+            code, out, err = run_main(argv)
+            assert (code, err) == (EXIT_OK, ""), argv
+            payload = json.loads(out)
+            covs = payload.get("covariances") or {
+                key: payload["result"][key] for key in ("predicted_cov", "empirical_cov_beta_d")}
+            for key, cov in covs.items():
+                cov = np.array(cov)
+                assert cov.shape == (data.p, data.p), (argv, key)
+                assert np.array_equal(cov, cov.T), (argv, key)
+                checked += 1
+        assert checked == 1 + 4 * data.p + 2
 
 
 def write_scaled_fixture(path, e):
@@ -627,7 +656,7 @@ class TestFactorOnce:
     @pytest.fixture
     def counts(self, monkeypatch):
         counts = {"svd_thin": 0, "design rank check": 0, "covariance rank guard": 0,
-                  "scores": 0}
+                  "scores": 0, "gram_pseudo_inverse": 0}
 
         def count(name, key, namespaces, full_columns_only=False):
             original = getattr(pcreg.linalg, name)
@@ -647,6 +676,7 @@ class TestFactorOnce:
         count("check_rank", "design rank check",
               [m for m in PCREG_MODULES if m is not pcreg.linalg], full_columns_only=True)
         count("check_rank", "covariance rank guard", [pcreg.linalg], full_columns_only=True)
+        count("gram_pseudo_inverse", "gram_pseudo_inverse", PCREG_MODULES)
         scores = Dataset.__dict__["scores"].func
 
         def counted_scores(data):
@@ -658,17 +688,20 @@ class TestFactorOnce:
         monkeypatch.setattr(Dataset, "scores", prop)
         return counts
 
-    @pytest.mark.parametrize("payload_fn, d, guards", [(compare_payload, 2, 1),
-                                                       (fit_payload, None, 1),
-                                                       (fit_payload, 2, 0)],
+    @pytest.mark.parametrize("payload_fn, d, guards, covariances",
+                             [(compare_payload, 2, 1, 3), (fit_payload, None, 1, 1),
+                              (fit_payload, 2, 0, 1)],
                              ids=["compare", "fit-ols", "fit-pcr"])
-    def test_one_svd_one_rank_check_one_projection(self, counts, payload_fn, d, guards):
+    def test_one_svd_one_rank_check_one_projection(self, counts, payload_fn, d, guards,
+                                                   covariances):
         data, record = standardize(load_csv(fixture_path(), "cost"), "zscore")
         payload_fn(data, d, record)
         # The guard is gram_pseudo_inverse's check of the OLS covariance,
-        # which fit --d neither builds nor prints.
+        # which fit --d neither builds nor prints.  Each covariance is built
+        # once: a compare builds the OLS, retained and omitted ones, a fit
+        # only its own.
         assert counts == {"svd_thin": 1, "design rank check": 1, "covariance rank guard": guards,
-                          "scores": 1}
+                          "scores": 1, "gram_pseudo_inverse": covariances}
 
 
 class TestMainExitCodes:

@@ -252,6 +252,19 @@ class TestGramPseudoInverse:
         with pytest.raises(RankDeficiencyError, match="component"):
             gram_pseudo_inverse(f, np.s_[:])
 
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(3, 60), p=st.integers(1, 12),
+           decades=st.integers(0, 6), data=st.data())
+    def test_exactly_symmetric(self, seed, n, p, decades, data):
+        # Columns scaled over up to 6 decades, two rows to spare so none is
+        # near the rank cutoff; every block a fit inverts.
+        p = min(p, n - 2)
+        f = svd_thin(random_matrix(seed, n, p) * np.logspace(0.0, -decades, p))
+        d = data.draw(st.integers(0, p))
+        for cols in (np.s_[:d], np.s_[d:], np.s_[:]):
+            g = gram_pseudo_inverse(f, cols)
+            assert g.shape == (p, p) and np.array_equal(g, g.T), cols
+
 
 class TestLoadingProjector:
     def test_hand_oracle(self):

@@ -6,6 +6,11 @@ beta_pc = (2,), beta_d = (0, 1), beta_k = (1, 0), rss_d = 10 so
 sigma2_d = 5, sigma2_k = 13/2 = 6.5, per-component variances (5, 6.5).
 """
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -182,6 +187,8 @@ class TestFitPcr:
         assert abs(pcr.sigma2_d - 5.0) <= 1e-12
         assert abs(pcr.sigma2_k - 6.5) <= 1e-12
         np.testing.assert_allclose(pcr.sigma2_q, [5.0, 6.5], atol=1e-12)
+        # v1 sigma1^-2 v1^T * sigma2_d = diag(0, 1/4) * 5
+        np.testing.assert_allclose(pcr.cov_d, np.diag([0.0, 1.25]), atol=1e-12)
 
     def test_d_equals_p_reproduces_ols(self):
         data = random_dataset(3, 25, 4)
@@ -190,6 +197,7 @@ class TestFitPcr:
         np.testing.assert_allclose(pcr.beta_d, ols.beta, atol=1e-10)
         assert abs(pcr.sigma2_d - ols.sigma2) <= 1e-10 * (1 + ols.sigma2)
         np.testing.assert_array_equal(pcr.beta_k, np.zeros(4))
+        assert pcr.cov_d.tobytes() == ols.cov.tobytes()
 
     def test_scores_split_the_projection(self):
         data = random_dataset(8, 30, 5)
@@ -321,6 +329,21 @@ class TestComponentFit:
         beta, rss = component_fit(f, toy.y, toy.scores, np.s_[2:])
         np.testing.assert_array_equal(beta, np.zeros(2))
         assert rss == float(toy.y @ toy.y)
+
+
+def test_component_fit_keeps_its_bits_on_the_sse_kernel():
+    # OpenBLAS picks a kernel per CPU.  Its SSE one (Prescott) sums a row
+    # that is not 16-byte aligned in another order, so at odd n a stack's
+    # rows carry the single-response bits only through component_fit's
+    # padded residual rows.  The variable is set for the child only; an
+    # OpenBLAS build that ignores it runs its default kernel and passes.
+    root = Path(__file__).resolve().parents[1]
+    done = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
+         f"{Path(__file__).resolve()}::TestComponentFit"],
+        cwd=root, env={**os.environ, "OPENBLAS_CORETYPE": "Prescott"},
+        capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stdout[-3000:] + done.stderr[-1000:]
 
 
 class TestIdentities:

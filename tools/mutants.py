@@ -52,6 +52,11 @@ MUTANTS = (
            "numbers written as JSON strings are read as numbers"),
     Mutant("src/pcreg/linalg.py", "f.sigma[cols] <= cutoff", "f.sigma[cols] < cutoff",
            "a singular value at the rank cutoff counts as nonzero"),
+    Mutant("src/pcreg/linalg.py", "return g @ g.T",
+           "return (f.v[:, cols] / f.sigma[cols] ** 2) @ f.v[:, cols].T",
+           "a general product in place of syrk: the printed covariances are not symmetric"),
+    Mutant("src/pcreg/model.py", "n + n % 2", "n",
+           "odd-length residual rows start unaligned: an SSE kernel sums them in another order"),
     Mutant("src/pcreg/diagnostics.py", "exceeds_ols_k=se_k > se_ols,",
            "exceeds_ols_k=se_k >= se_ols,",
            "an omitted-space standard error equal to OLS's is flagged"),
