@@ -44,7 +44,6 @@ from .model import (
 from .montecarlo import (
     SimulationConfig,
     SimulationResult,
-    TheoryRow,
     adjudicate_rss_dof,
     run_simulation,
     theory_comparison,
@@ -72,7 +71,6 @@ __all__ = [
     "SimulationConfig",
     "SimulationResult",
     "SvdFactors",
-    "TheoryRow",
     "ValidationError",
     "adjudicate_rss_dof",
     "beta_additivity_check",

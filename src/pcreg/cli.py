@@ -23,7 +23,7 @@ import json
 import math
 import reprlib
 import sys
-from dataclasses import asdict, fields
+from dataclasses import fields
 from functools import cache, partial
 from itertools import islice
 from pathlib import Path
@@ -418,10 +418,10 @@ def simulate_payload(cfg: SimulationConfig, alert_threshold: float) -> dict:
             "empirical_cov_beta_d": res.empirical_cov_beta_d.tolist(),
             "predicted_cov": res.predicted_cov.tolist(),
         },
-        "rows": [asdict(row) for row in rows],
+        "rows": rows,
         "adjudication": adjudicate_rss_dof(res),
         "alert": any(
-            row.asserted and math.isfinite(row.z) and abs(row.z) > alert_threshold
+            row["asserted"] and math.isfinite(row["z"]) and abs(row["z"]) > alert_threshold
             for row in rows
         ),
     }

@@ -12,8 +12,8 @@ as ``sigma2 V_d S_d^-2 V_d^T``, the sampling covariance of
 ``beta_d = V_d S_d^-1 U_d^T y`` in a fixed design whatever the truth puts
 on the omitted components; the expected plug-in variance
 ``sigma2 + omitted quad form / (n - d)`` is what the RSS and bias rows
-check, not the slopes' spread.  Every z-scored claim is one entry of the
-claim table in :func:`theory_comparison`.
+check, not the slopes' spread.  Every claim is one row of the table
+:func:`theory_comparison` returns, each row the dict ``simulate`` prints.
 
 Replicate streams come from a counter-based generator (numpy Philox),
 keyed per block of ``STREAM_BLOCK`` = 64 replicates: stream block b uses
@@ -175,24 +175,6 @@ class SimulationResult:
     z_floor_beta_d: np.ndarray
 
 
-@dataclass(frozen=True)
-class TheoryRow:
-    """One predicted-versus-observed comparison with its z-score.
-
-    ``asserted`` rows are claims the theory says must match (alerting
-    material); recorded rows exist for side-by-side comparison, like the
-    n-p dof variant, which deviates by design whenever signal sits on the
-    omitted components, and the covariance summary, which has no z.
-    """
-
-    claim: str
-    predicted: float
-    observed: float
-    mcse: float
-    z: float
-    asserted: bool = True
-
-
 def _replicate_seeker(seed: int) -> Callable[[int], np.random.Generator]:
     """One Philox(key=seed) generator and the function that seeks it to a stream.
 
@@ -240,8 +222,9 @@ def run_simulation(cfg: SimulationConfig) -> SimulationResult:
     ``beta_true`` as the slopes' mean, ``sigma2_true V_d S_d^-2 V_d^T`` as
     their covariance, and the RSS and bias expectations under both dof
     constants.  Floating-point warnings are silenced; a non-finite
-    aggregate (a ``sigma2_true``, design or ``beta_true`` so large that
-    the sums overflow) raises ValidationError instead.
+    aggregate (a fit that leaves the double-precision range, as the sums
+    of a huge design or ``beta_true`` and the slopes of a tiny design do)
+    raises ValidationError instead.
     """
     f = checked_factors(cfg.x)
     n, p, d = cfg.n, cfg.p, cfg.d
@@ -303,20 +286,21 @@ def run_simulation(cfg: SimulationConfig) -> SimulationResult:
         if not np.all(np.isfinite(getattr(res, field.name))):
             raise ValidationError(
                 f"simulation aggregate {field.name} is not finite: sigma2_true "
-                f"{cfg.sigma2_true:.3e}, the design or beta_true is too large for double precision"
+                f"{cfg.sigma2_true:.3e}, the fit leaves the double-precision range"
             )
     return res
 
 
 def _row(claim: str, predicted: float, observed: float, mcse: float, floor: float,
-         asserted: bool = True) -> TheoryRow:
+         asserted: bool = True) -> dict:
     # Rounding in the fit never reads as deviation: the MCSE is floored at its bound.
     scale = max(mcse, floor)
     z = (observed - predicted) / scale if scale > 0.0 else 0.0
-    return TheoryRow(claim, float(predicted), float(observed), float(mcse), z, asserted)
+    return {"claim": claim, "predicted": float(predicted), "observed": float(observed),
+            "mcse": float(mcse), "z": z, "asserted": asserted}
 
 
-def _rss_rows(res: SimulationResult) -> tuple[TheoryRow, TheoryRow]:
+def _rss_rows(res: SimulationResult) -> tuple[dict, dict]:
     """The mean-RSS claim under the n-d dof constant (asserted) and the n-p one."""
     return (
         _row("mean_rss_d (n-d dof)", res.predicted_rss_nd_dof, res.mean_rss_d, res.mcse_rss_d,
@@ -326,16 +310,21 @@ def _rss_rows(res: SimulationResult) -> tuple[TheoryRow, TheoryRow]:
     )
 
 
-def theory_comparison(res: SimulationResult) -> list[TheoryRow]:
+def theory_comparison(res: SimulationResult) -> list[dict]:
     """Tabulate every tracked claim as (predicted, observed, MCSE, z).
 
-    Each z-scored claim is one ``_row(claim, predicted, observed, MCSE,
-    z floor, asserted)`` entry of the table.  The n-p dof variants are
-    included as recorded (non-asserted) rows so the adjudication stays
-    visible without flagging an expected deviation.  The covariance claim
-    is summarized by its relative Frobenius distance, a recorded row (z is
-    not applicable there and is reported as nan); it is included only
-    when the run had at least 1000 replicates.
+    Each row is the dict ``simulate`` prints, with the keys ``claim``,
+    ``predicted``, ``observed``, ``mcse``, ``z`` and ``asserted`` in that
+    order, and each z-scored claim is one ``_row(claim, predicted,
+    observed, MCSE, z floor, asserted)`` entry of the table.  Asserted
+    rows are claims the theory says must match (alerting material);
+    recorded rows exist for side-by-side comparison.  The n-p dof variants
+    are recorded, because they deviate by design whenever signal sits on
+    the omitted components, and the adjudication stays visible without
+    flagging that expected deviation.  The covariance claim is summarized
+    by its relative Frobenius distance, a recorded row (z is not
+    applicable there and is reported as nan); it is included only when
+    the run had at least 1000 replicates.
     """
     cfg = res.config
     observed_bias = res.mean_sigma2_d - cfg.sigma2_true
@@ -353,10 +342,8 @@ def theory_comparison(res: SimulationResult) -> list[TheoryRow]:
             np.linalg.norm(res.empirical_cov_beta_d - res.predicted_cov)
             / np.linalg.norm(res.predicted_cov)
         )
-        rows.append(
-            TheoryRow("cov_beta_d relative Frobenius distance", 0.0, dist, math.nan, math.nan,
-                      asserted=False)
-        )
+        rows.append({"claim": "cov_beta_d relative Frobenius distance", "predicted": 0.0,
+                     "observed": dist, "mcse": math.nan, "z": math.nan, "asserted": False})
     return rows
 
 
@@ -369,4 +356,4 @@ def adjudicate_rss_dof(res: SimulationResult) -> dict:
     and both z-scores; only the verdict is returned here.
     """
     nd, np_dof = _rss_rows(res)
-    return {"winner": "n-d" if abs(nd.z) <= abs(np_dof.z) else "n-p"}
+    return {"winner": "n-d" if abs(nd["z"]) <= abs(np_dof["z"]) else "n-p"}

@@ -251,7 +251,7 @@ def test_criterion_4_monte_carlo():
     )
     adj = adjudicate_rss_dof(res_c)
     nd, np_dof = _rss_rows(res_c)  # the mean-RSS rows the adjudication compares
-    winner_z = nd.z if adj["winner"] == "n-d" else np_dof.z
+    winner_z = nd["z"] if adj["winner"] == "n-d" else np_dof["z"]
     assert abs(winner_z) <= 4.0
     elapsed = time.perf_counter() - start
     assert elapsed < 60.0, f"Monte Carlo runs took {elapsed:.1f}s"
@@ -261,9 +261,9 @@ def test_criterion_4_monte_carlo():
     print(f"  (a, dof report) sigma2_d mean z: n-d {z_nd_sigma:+.2f}, "
           f"n-p residual z {z_np_sigma:+.2f}")
     print(f"  (c) adjudication: winner = {adj['winner']} dof "
-          f"(z_nd {nd.z:+.2f}, z_np {np_dof.z:+.2f}, "
-          f"observed mean RSS_d {nd.observed:.2f} vs n-d {nd.predicted:.2f} "
-          f"/ n-p {np_dof.predicted:.2f})")
+          f"(z_nd {nd['z']:+.2f}, z_np {np_dof['z']:+.2f}, "
+          f"observed mean RSS_d {nd['observed']:.2f} vs n-d {nd['predicted']:.2f} "
+          f"/ n-p {np_dof['predicted']:.2f})")
     print(f"  runtime {elapsed:.1f}s (< 60s)")
 
 

@@ -1,5 +1,6 @@
 """Tests for CSV ingestion, standardization, and the command surface."""
 
+import ast
 import contextlib
 import csv
 import dataclasses
@@ -37,6 +38,7 @@ from pcreg.cli import (
     main,
     render_compare_table,
     render_json,
+    simulate_payload,
     standardize,
     _lines,
 )
@@ -1134,6 +1136,17 @@ class TestImportSurface:
                               text=True, timeout=120)
         assert done.stdout.split() == ["False", "True"], done.stderr
 
+    def test_all_lists_every_public_import(self):
+        # __all__ and the package's imports are two lists of one set of
+        # names: editing one without the other fails here.
+        tree = ast.parse(Path(pcreg.__file__).read_text(encoding="utf-8"))
+        public = [alias.asname or alias.name for node in tree.body
+                  if isinstance(node, ast.ImportFrom) and node.level == 1 for alias in node.names]
+        public += [node.name for node in tree.body
+                   if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")]
+        assert "fixture_path" in public
+        assert sorted(pcreg.__all__) == sorted(public)
+
 
 class TestSimulate:
     def test_missing_field_reports_path_and_field(self, tmp_path):
@@ -1258,6 +1271,19 @@ class TestSimulate:
         assert captured.err.startswith("pcreg: error: simulation aggregate")
         assert "not finite" in captured.err and captured.err.count("\n") == 1
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("scale", [1e-300, 1e250])
+    def test_a_fit_out_of_double_range_exits_either_way(self, tmp_path, capsys, scale):
+        # A huge design overflows the sums; a tiny one overflows the slopes,
+        # which grow as 1/s.  Neither message may call the design too large.
+        x = np.random.default_rng(3).standard_normal((30, 3)) * scale
+        path = write_sim_config(tmp_path, x=x.tolist(), replicates=100)
+        code = main(["simulate", "--config", str(path), "--format", "json"])
+        assert code == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.count("\n") == 1
+        assert "not finite" in captured.err and "too large" not in captured.err
+
     def test_rank_deficient_design_exit(self, tmp_path, capsys):
         x = np.random.default_rng(3).standard_normal((40, 3))
         x[:, 2] = x[:, 1]
@@ -1298,8 +1324,8 @@ class TestSimulate:
             predicted_rss_nd_dof=res.predicted_rss_nd_dof + 10 * res.mcse_rss_d,
             predicted_bias_nd_dof=res.predicted_bias_nd_dof + 10 * res.mcse_sigma2_d,
         )
-        before = {row.claim: row.z for row in theory_comparison(res) if row.asserted}
-        after = {row.claim: row.z for row in theory_comparison(shifted) if row.asserted}
+        before = {row["claim"]: row["z"] for row in theory_comparison(res) if row["asserted"]}
+        after = {row["claim"]: row["z"] for row in theory_comparison(shifted) if row["asserted"]}
         assert len(after) == 5
         for claim, z in after.items():
             assert z == pytest.approx(before[claim] - 10, rel=1e-12), claim
@@ -1393,6 +1419,28 @@ class TestSimulate:
         for j in range(res.config.p):
             row = rows[f"mean_beta_d[{j}]"]
             assert (row["observed"], row["mcse"]) == (res.mean_beta_d[j], res.mcse_beta_d[j])
+
+    def test_printed_rows_are_the_claim_table(self, tmp_path):
+        # The payload prints theory_comparison's rows as they are, and its
+        # alert and adjudication are read from those rows.  At d = 1 a
+        # recorded n-p row has the largest |z|, so some threshold alerts on
+        # it alone, which must not raise the alert.
+        cfg = load_simulation_config(write_sim_config(tmp_path, d=1))
+        rows = theory_comparison(run_simulation(cfg))
+        top = {role: max(abs(row["z"]) for row in rows if row["asserted"] is role)
+               for role in (True, False)}
+        assert top[False] > top[True]
+        z = sorted({abs(row["z"]) for row in rows})
+        for threshold in [0.0, *((a + b) / 2 for a, b in zip(z, z[1:])), z[-1] + 1.0]:
+            payload = simulate_payload(cfg, threshold)
+            assert payload["rows"] == rows
+            assert payload["alert"] == any(
+                row["asserted"] and math.isfinite(row["z"]) and abs(row["z"]) > threshold
+                for row in rows
+            ), threshold
+        rss = {row["claim"]: abs(row["z"]) for row in rows if row["claim"].startswith("mean_rss")}
+        winner = payload["adjudication"]["winner"]
+        assert rss[f"mean_rss_d ({winner} dof)"] == min(rss.values())
 
     @pytest.mark.parametrize("seed", [1, 2, 3])
     def test_rows_and_result_come_from_one_reduction(self, tmp_path, capsys, seed):

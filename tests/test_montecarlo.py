@@ -258,7 +258,7 @@ class TestTheoryComparison:
     def test_row_set_small_run(self):
         res = run_simulation(config(replicates=200))
         rows = theory_comparison(res)
-        claims = [row.claim for row in rows]
+        claims = [row["claim"] for row in rows]
         assert claims.count("mean_rss_d (n-d dof)") == 1
         assert claims.count("mean_rss_d (n-p dof)") == 1
         assert sum(c.startswith("mean_beta_d[") for c in claims) == 4
@@ -268,19 +268,19 @@ class TestTheoryComparison:
     def test_covariance_row_at_scale(self):
         res = run_simulation(config(replicates=1000))
         rows = theory_comparison(res)
-        frob = [row for row in rows if "Frobenius" in row.claim]
+        frob = [row for row in rows if "Frobenius" in row["claim"]]
         assert len(frob) == 1
-        assert frob[0].predicted == 0.0 and np.isnan(frob[0].z)
+        assert frob[0]["predicted"] == 0.0 and np.isnan(frob[0]["z"])
 
     def test_dof_variant_rows_are_recorded_not_asserted(self):
         res = run_simulation(config(replicates=200))
-        roles = {row.claim: row.asserted for row in theory_comparison(res)}
+        roles = {row["claim"]: row["asserted"] for row in theory_comparison(res)}
         assert roles["mean_rss_d (n-d dof)"] is True
         assert roles["mean_rss_d (n-p dof)"] is False
         assert roles["bias_sigma2_d (n-p dof)"] is False
         # The covariance summary has no z, so it can never alert: it is recorded.
         res = run_simulation(config(replicates=COVARIANCE_MIN_REPLICATES))
-        roles = {row.claim: row.asserted for row in theory_comparison(res)}
+        roles = {row["claim"]: row["asserted"] for row in theory_comparison(res)}
         assert roles["cov_beta_d relative Frobenius distance"] is False
 
     def test_adjudication_prefers_nd_dof(self):
@@ -289,16 +289,16 @@ class TestTheoryComparison:
         res = run_simulation(omitted_truth_config())
         nd, np_dof = _rss_rows(res)
         assert adjudicate_rss_dof(res) == {"winner": "n-d"}
-        assert abs(nd.z) <= 4.0
-        assert abs(np_dof.z) > 4.0
+        assert abs(nd["z"]) <= 4.0
+        assert abs(np_dof["z"]) > 4.0
 
     def test_slope_covariance_with_truth_on_the_omitted_components(self):
         # beta_d = V_d S_d^-1 U_d^T y has covariance sigma2 V_d S_d^-2 V_d^T in a
         # fixed design, whatever the truth puts on the omitted components; the
         # expected plug-in variance sigma2_d,pop (here 1.5 sigma2) is not it.
         res = run_simulation(omitted_truth_config())
-        frob = [row for row in theory_comparison(res) if "Frobenius" in row.claim]
-        assert len(frob) == 1 and frob[0].observed <= 0.10
+        frob = [row for row in theory_comparison(res) if "Frobenius" in row["claim"]]
+        assert len(frob) == 1 and frob[0]["observed"] <= 0.10
 
 
 def omitted_truth_config():
@@ -320,7 +320,7 @@ class TestZFloor:
         beta = np.array([1.0, -0.5, 2.0]) * scale
         res = run_simulation(config(x=x, beta_true=beta, sigma2_true=1e-18, d=2,
                                     replicates=200, seed=1))
-        return max(abs(row.z) for row in theory_comparison(res) if row.asserted)
+        return max(abs(row["z"]) for row in theory_comparison(res) if row["asserted"])
 
     def test_rss_floor_scales_with_the_squared_mean(self):
         # (n + R) eps |mu|^2: a floor of (n + R) eps |mu| reads |z| in the thousands.

@@ -67,6 +67,9 @@ MUTANTS = (
            "the data block starts at physical line 2 whatever the header's length"),
     Mutant("src/pcreg/cli.py", "comments=None, quotechar='\"', ndmin=2", "comments=None, ndmin=2",
            "numpy's reader rejects quoted cells, which fall back to csv.reader and float()"),
+    Mutant("src/pcreg/cli.py", 'row["asserted"] and math.isfinite(row["z"])',
+           'math.isfinite(row["z"])',
+           "a recorded row's |z|, such as the n-p dof variant's, raises the alert"),
     Mutant("src/pcreg/cli.py", "except UnicodeEncodeError as exc:",
            "except UnicodeDecodeError as exc:",
            "a table that stdout cannot encode ends in a traceback"),
