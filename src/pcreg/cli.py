@@ -25,7 +25,7 @@ import reprlib
 import sys
 from dataclasses import fields
 from functools import cache, partial
-from itertools import islice
+from itertools import chain, filterfalse, islice, repeat
 from pathlib import Path
 from typing import NoReturn
 
@@ -217,6 +217,7 @@ def _cell_values(path: Path, header: list[str], rows: list[tuple[int, list[str]]
             raise DataFormatError(
                 f"{path}: line {line_no}: expected {ncol} cells, got {len(row)}"
             )
+        row_values = []
         for j, cell in enumerate(row):
             try:
                 v = float(cell)
@@ -230,7 +231,8 @@ def _cell_values(path: Path, header: list[str], rows: list[tuple[int, list[str]]
                     f"{path}: row at line {line_no}, column {reprlib.repr(header[j])}: "
                     f"non-finite value {reprlib.repr(cell.strip())}"
                 )
-            values[i, j] = v
+            row_values.append(v)
+        values[i] = row_values
     return values
 
 
@@ -537,12 +539,43 @@ _float_repr = float.__repr__
 _json_string = json.encoder.encode_basestring_ascii
 
 
+def _mirrored_items(rows, pad: str) -> str | None:
+    """The items of ``rows`` at the indentation ``pad``, as ``_json_text``
+    joins them, when ``rows`` is a square matrix of floats that equals its
+    transpose bit for bit; otherwise None.
+
+    Each row's entries left of the diagonal reuse the strings formatted for
+    the rows above, so each mirrored pair is formatted once.
+    """
+    # Rows of floats first, so that the comparison cannot raise; equal
+    # tuples then also mean a square matrix.
+    if not (all(map(isinstance, rows, repeat((list, tuple))))
+            and all(map(isinstance, chain.from_iterable(rows), repeat(float)))
+            and (cols := list(zip(*rows))) == list(map(tuple, rows))):
+        return None
+    # Equal floats have equal bits, except a 0.0 mirrored onto a -0.0.  In
+    # row-major order the k-th zero of cols mirrors the k-th zero of rows.
+    zero_signs = [[math.copysign(1.0, v) for v in filterfalse(None, chain.from_iterable(m))]
+                  for m in (rows, cols)]
+    if zero_signs[0] != zero_signs[1]:
+        return None
+    strings = []
+    for i, row in enumerate(rows):
+        strings.append([s[i] for s in strings] + list(map(_float_repr, row[i:])))
+    inner = pad + "  "
+    sep = ",\n" + inner
+    return (",\n" + pad).join(["[\n" + inner + sep.join(s) + "\n" + pad + "]" for s in strings])
+
+
 def _json_text(value, pad: str) -> str:
     """``value`` as ``json.dumps(value, sort_keys=True, indent=2)`` writes it
     at the indentation ``pad``, with each non-finite float as ``null``.
 
     CPython's ``json`` runs its pure-Python encoder whenever ``indent`` is
-    set; this writes the same bytes with one join per container.
+    set; this writes the same bytes with one join per container.  A list of
+    floats is one join, and an exactly symmetric matrix of floats, such as
+    every printed slope covariance, formats each mirrored pair once
+    (``_mirrored_items``).
     """
     if isinstance(value, float):
         return _float_repr(value) if math.isfinite(value) else "null"
@@ -564,7 +597,7 @@ def _json_text(value, pad: str) -> str:
         try:  # the common case, a list of floats: one join
             items = sep.join(map(_float_repr, value))
         except TypeError:  # an item that is not a float
-            items = None
+            items = _mirrored_items(value, inner)
         if items is None or "n" in items:  # or a "nan"/"inf" that must read null
             items = sep.join([_json_text(v, inner) for v in value])
         return "[\n" + inner + items + "\n" + pad + "]"

@@ -599,7 +599,7 @@ def json_reference(value):
     """The payload with every non-finite float as None, for ``json.dumps``."""
     if isinstance(value, dict):
         return {k: json_reference(v) for k, v in value.items()}
-    if isinstance(value, list):
+    if isinstance(value, (list, tuple)):
         return [json_reference(v) for v in value]
     if isinstance(value, float) and not math.isfinite(value):
         return None
@@ -625,6 +625,37 @@ JSON_TREE = st.recursive(
 )
 
 
+
+MATRIX_FLOAT = st.one_of(st.floats(allow_nan=False, allow_infinity=False),
+                         st.sampled_from([0.0, -0.0, 5e-324, 1e16, 1e308]))
+
+
+@st.composite
+def mirrored_matrices(draw):
+    """Square float matrices equal to their transpose, sometimes with one
+    entry, or one entry and its mirror, changed."""
+    n = draw(st.integers(1, 6))
+    rows = [[0.0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            rows[i][j] = rows[j][i] = draw(MATRIX_FLOAT)
+    if draw(st.booleans()):
+        i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+        v = rows[i][j]
+        rows[i][j] = draw(st.sampled_from([
+            -v, math.nextafter(v, math.inf), int(v), bool(v), np.float64(v), "s",
+            math.nan, float("nan"), math.inf,
+        ]))
+        if draw(st.booleans()):
+            rows[j][i] = rows[i][j]
+    return rows
+
+
+def mirror(upper):
+    """The symmetric matrix whose rows left of the diagonal mirror ``upper``'s."""
+    return [[upper[min(i, j)][abs(j - i)] for j in range(len(upper))] for i in range(len(upper))]
+
+
 class TestRenderJson:
     @settings(max_examples=200, deadline=None)
     @given(payload=st.dictionaries(st.text(), JSON_TREE, max_size=5))
@@ -638,6 +669,73 @@ class TestRenderJson:
     def test_bytes_of_json_dumps(self, payload):
         want = json.dumps(json_reference(payload), sort_keys=True, indent=2, allow_nan=False)
         assert render_json(payload) == want + "\n"
+
+    @pytest.mark.parametrize("matrix", [
+        [[1.0, -0.0], [0.0, 2.0]],
+        [[1.0, 0.0], [-0.0, 2.0]],
+        [[-0.0, 0.5], [0.5, -0.0]],
+        mirror([[2.0, 0.0, 0.0], [1.5, 0.25], [3.0]]),  # an intercept row under centering
+        mirror([[math.nan, 1.0], [2.0]]),  # one nan object, so the rows equal the columns
+        mirror([[1.0, math.nan, -0.5], [2.0, 0.0], [3.0]]),
+        [[1.0, float("nan")], [float("nan"), 2.0]],
+        mirror([[math.inf, 1.0], [-math.inf]]),
+        mirror([[1.0, math.inf], [1.0]]),
+        [[1.0, 1.0], [True, 1.0]],
+        [[1.0, 0.0], [False, 1.0]],
+        [[1.0, 2.0], [2, 1.0]],
+        ((1.0, 0.5), (0.5, 2.0)),
+        [(1.0, 0.5), [0.5, 2.0]],
+        [[np.float64(1.0), np.float64(0.1)], [np.float64(0.1), 2.0]],
+        [[1.0, 0.1], [np.float64(0.1), 2.0]],
+        [[1.5]],
+        [[-0.0]],
+        [[1.0, 2.0], [2.0]],
+        [[1.0], [1.0, 2.0]],
+        [[], 0.0],
+        [[], []],
+        [[1.0, 0.1], [math.nextafter(0.1, 1.0), 1.0]],
+        ["ab", "ba"],
+        [[[1.0]]],
+    ], ids=lambda matrix: repr(matrix).replace(" ", ""))
+    def test_symmetric_paths_write_the_bytes_of_json_dumps(self, matrix):
+        for payload in ({"m": matrix}, {"m": [matrix, {"n": matrix}]}):
+            want = json.dumps(json_reference(payload), sort_keys=True, indent=2, allow_nan=False)
+            assert render_json(payload) == want + "\n"
+
+    @settings(max_examples=300, deadline=None)
+    @given(payload=st.dictionaries(st.text(max_size=2), mirrored_matrices(), max_size=3))
+    @example(payload={"m": [[1.0, 0.0], [-0.0, 1.0]], "n": [[1.0, 2.0], [2, 1.0]]})
+    def test_mirrored_matrices_write_the_bytes_of_json_dumps(self, payload):
+        want = json.dumps(json_reference(payload), sort_keys=True, indent=2, allow_nan=False)
+        assert render_json(payload) == want + "\n"
+
+    @pytest.mark.parametrize("mode", ["none", "center", "zscore"])
+    @pytest.mark.parametrize("command", [["compare", "--d", "3"], ["fit"], ["fit", "--d", "3"]],
+                             ids=" ".join)
+    def test_each_mirrored_covariance_entry_is_formatted_once(self, monkeypatch, command, mode):
+        # Counts the reprs that return; one that raises (a list handed to
+        # float.__repr__) formats nothing.  An exactly symmetric p x p
+        # covariance costs p(p + 1)/2 of them, so this fails if a printed
+        # covariance leaves the mirrored path.
+        calls = 0
+
+        def counted(value):
+            nonlocal calls
+            text = float.__repr__(value)
+            calls += 1
+            return text
+
+        monkeypatch.setattr(cli, "_float_repr", counted)
+        code, out, err = run_main([*command, "--input", str(fixture_path()),
+                                   "--response", "cost", "--standardize", mode,
+                                   "--format", "json"])
+        assert (code, err) == (EXIT_OK, "")
+        printed = []
+        covariances = json.loads(out, parse_float=lambda s: printed.append(s) or float(s))[
+            "covariances"].values()
+        floats, sizes = len(printed), [len(cov) for cov in covariances]
+        assert sizes == [8] * len(sizes)
+        assert calls == floats - 28 * len(sizes)
 
     def test_unsupported_type_raises_as_json_dumps_does(self):
         payload = {"a": [1.5, {1, 2}]}

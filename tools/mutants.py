@@ -70,6 +70,11 @@ MUTANTS = (
     Mutant("src/pcreg/cli.py", 'row["asserted"] and math.isfinite(row["z"])',
            'math.isfinite(row["z"])',
            "a recorded row's |z|, such as the n-p dof variant's, raises the alert"),
+    Mutant("src/pcreg/cli.py", "if zero_signs[0] != zero_signs[1]:", "if False:",
+           "a 0.0 mirrored onto a -0.0 prints the upper triangle's sign on both sides"),
+    Mutant("src/pcreg/cli.py", "and all(map(isinstance, chain.from_iterable(rows), repeat(float)))",
+           "and True",
+           "an int or bool below the diagonal prints as its mirrored float"),
     Mutant("src/pcreg/cli.py", "except UnicodeEncodeError as exc:",
            "except UnicodeDecodeError as exc:",
            "a table that stdout cannot encode ends in a traceback"),
