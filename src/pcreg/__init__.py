@@ -13,7 +13,9 @@ from .diagnostics import (
     DiagnosticsReport,
     build_report,
     covariance_agreement,
+    identity_residuals,
     pcr_covariance,
+    plugin_bias,
     variance_recomposition_check,
 )
 from .errors import (
@@ -81,8 +83,10 @@ __all__ = [
     "fit_pcr",
     "fixture_path",
     "gram_pseudo_inverse",
+    "identity_residuals",
     "loading_projector",
     "pcr_covariance",
+    "plugin_bias",
     "recover_ols_sigma2",
     "run_simulation",
     "sigma2_d_three_forms",

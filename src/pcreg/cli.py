@@ -31,7 +31,7 @@ from typing import NoReturn
 
 import numpy as np
 
-from .diagnostics import build_report, covariance_agreement, variance_recomposition_check
+from .diagnostics import build_report, identity_residuals
 from .errors import (
     ConvergenceError,
     DataFormatError,
@@ -40,14 +40,7 @@ from .errors import (
     RankDeficiencyError,
     ValidationError,
 )
-from .model import (
-    Dataset,
-    beta_additivity_check,
-    fit_ols,
-    fit_pcr,
-    recover_ols_sigma2,
-    sigma2_d_three_forms,
-)
+from .model import Dataset, fit_ols, fit_pcr
 from .montecarlo import (
     GENERATOR_NAME,
     SimulationConfig,
@@ -337,25 +330,13 @@ def compare_payload(data: Dataset, d: int, record: dict) -> dict:
     printed: ``residuals.covariance_agreement`` reports how closely the
     forms agree and ``residuals.variance_recomposition`` checks the
     identity behind the difference form.  The slope-bias estimate
-    ``pcr.beta_k`` is printed once, as ``estimates.pcr_k``.
+    ``pcr.beta_k`` is printed once, as ``estimates.pcr_k``.  Every number
+    comes from the library: ``residuals`` is ``identity_residuals``.
     """
     ols = fit_ols(data)
     pcr = fit_pcr(data, d)
     report = build_report(data.factors, ols, pcr)
     covs = report.covs
-
-    forms = sigma2_d_three_forms(data, pcr, ols)
-    spread = max(abs(v - pcr.sigma2_d) for v in forms)
-    recovered = recover_ols_sigma2(data, pcr)
-    residuals = {
-        "beta_additivity": beta_additivity_check(ols, pcr),
-        "sigma2_recovery": abs(recovered - ols.sigma2),
-        "three_forms_spread": spread,
-        "covariance_agreement": covariance_agreement(covs),
-        "bias_identity": abs(report.bias_sigma2_plugin - (pcr.sigma2_d - ols.sigma2)),
-        "variance_recomposition": variance_recomposition_check(ols, pcr, covs),
-    }
-
     return {
         "config": _data_config(data, d, record),
         "estimates": {
@@ -389,7 +370,7 @@ def compare_payload(data: Dataset, d: int, record: dict) -> dict:
             "bias_sigma2_plugin": report.bias_sigma2_plugin,
             "degenerate": report.degenerate,
         },
-        "residuals": residuals,
+        "residuals": identity_residuals(data, ols, pcr, report),
     }
 
 

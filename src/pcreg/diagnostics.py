@@ -2,11 +2,12 @@
 
 Three equivalent covariance formulations for the retained-component slope
 estimator, the recomposition identity splitting the OLS covariance into
-retained and omitted contributions, and the bias ledger comparing the two
-residual variance estimates.  A residual variance is divided by only when
-it is a normal double: a subnormal one has lost relative precision, so a
-ratio built on it would be silently wrong, and the forms and ratios that
-need it are left out instead.
+retained and omitted contributions, the bias ledger comparing the two
+residual variance estimates, and the identity residuals ``compare``
+prints.  A residual variance is divided by only when it is a normal
+double: a subnormal one has lost relative precision, so a ratio built on
+it would be silently wrong, and the forms and ratios that need it are
+left out instead.
 """
 
 from __future__ import annotations
@@ -18,7 +19,8 @@ from itertools import combinations
 import numpy as np
 
 from .linalg import SvdFactors, gram_pseudo_inverse, loading_projector
-from .model import OlsEstimate, PcrEstimate
+from .model import (Dataset, OlsEstimate, PcrEstimate, beta_additivity_check, recover_ols_sigma2,
+                    sigma2_d_three_forms)
 
 
 @dataclass(frozen=True)
@@ -124,17 +126,28 @@ def variance_recomposition_check(
     return float(np.max(np.abs(ols.cov - rebuilt)))
 
 
+def plugin_bias(n: int, p: int, d: int, sigma2: float, quad: float) -> float:
+    """The plug-in residual-variance bias ``((n - p)/(n - d) - 1) sigma2 + quad / (n - d)``.
+
+    ``quad`` is the quadratic form ``(beta - beta_d)^T X^T X (beta - beta_d)``
+    of the omitted slopes.  ``build_report`` evaluates it on the sample
+    (sigma2 hat and the fitted slopes) and ``run_simulation`` on the truth
+    (``sigma2_true`` and the omitted part of ``beta_true``), as the bias
+    predicted under the n - p dof constant.
+    """
+    return ((n - p) / (n - d) - 1.0) * sigma2 + quad / (n - d)
+
+
 def build_report(f: SvdFactors, ols: OlsEstimate, pcr: PcrEstimate) -> DiagnosticsReport:
     """Assemble the per-coefficient comparison report.
 
     Standard errors come from the covariance diagonals (direct form for
     the retained slopes); the exceedance flags of both blocks use the
-    strict inequality.  The plug-in residual-variance bias,
-
-        ((n - p)/(n - d) - 1) sigma2 + (beta - beta_d)^T X^T X (beta - beta_d) / (n - d),
-
-    collapses to ``sigma2_d - sigma2`` exactly (1e-10 relative); the
-    omitted-space slopes ``pcr.beta_k`` are the slope-bias estimate.
+    strict inequality.  The plug-in residual-variance bias is
+    ``plugin_bias`` at the sample sigma2 and the quadratic form
+    ``(beta - beta_d)^T X^T X (beta - beta_d)``; it collapses to
+    ``sigma2_d - sigma2`` exactly (1e-10 relative).  The omitted-space
+    slopes ``pcr.beta_k`` are the slope-bias estimate.
     """
     covs = pcr_covariance(f, ols, pcr)
     se_ols = np.sqrt(np.diag(ols.cov))
@@ -146,17 +159,42 @@ def build_report(f: SvdFactors, ols: OlsEstimate, pcr: PcrEstimate) -> Diagnosti
     gram = (f.v * f.sigma**2) @ f.v.T
     delta = ols.beta - pcr.beta_d
     quad = float(delta @ gram @ delta)
-    n, p, d = f.n, f.p, pcr.d
-    plugin = ((n - p) / (n - d) - 1.0) * ols.sigma2 + quad / (n - d)
     return DiagnosticsReport(
         inflation_ratio=inflation,
-        loading_diag=np.sum(f.v[:, :d] ** 2, axis=1),
+        loading_diag=np.sum(f.v[:, : pcr.d] ** 2, axis=1),
         se_ols=se_ols,
         se_pcr=se_pcr,
         se_k=se_k,
         exceeds_ols=se_pcr > se_ols,
         exceeds_ols_k=se_k > se_ols,
-        bias_sigma2_plugin=plugin,
+        bias_sigma2_plugin=plugin_bias(f.n, f.p, pcr.d, ols.sigma2, quad),
         covs=covs,
         degenerate=degenerate,
     )
+
+
+def identity_residuals(
+    data: Dataset, ols: OlsEstimate, pcr: PcrEstimate, report: DiagnosticsReport
+) -> dict:
+    """The six identity residuals of one fit, as ``compare`` prints them.
+
+    Each is the absolute gap in one exact identity, zero up to rounding:
+    the slope decomposition ``beta = beta_d + beta_k``, the OLS variance
+    recovered from PCR quantities, the widest of the three forms of
+    ``sigma2_d``, the agreement of the covariance forms, the plug-in bias
+    against ``sigma2_d - sigma2``, and the variance recomposition (None
+    where it is undefined).  Both fits and ``report`` must come from
+    ``data``.
+    """
+    forms = sigma2_d_three_forms(data, pcr, ols)
+    spread = max(abs(v - pcr.sigma2_d) for v in forms)
+    recovered = recover_ols_sigma2(data, pcr)
+    covs = report.covs
+    return {
+        "beta_additivity": beta_additivity_check(ols, pcr),
+        "sigma2_recovery": abs(recovered - ols.sigma2),
+        "three_forms_spread": spread,
+        "covariance_agreement": covariance_agreement(covs),
+        "bias_identity": abs(report.bias_sigma2_plugin - (pcr.sigma2_d - ols.sigma2)),
+        "variance_recomposition": variance_recomposition_check(ols, pcr, covs),
+    }

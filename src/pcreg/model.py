@@ -76,11 +76,9 @@ class Dataset:
 
     @cached_property
     def scores(self) -> np.ndarray:
-        """``U^T y``, the projection of y on every component (read-only).
-
-        Computed as ``run_simulation`` computes each replicate's, so a
-        simulated fit has the bits of the fit of a Dataset."""
-        scores = np.matvec(self.factors.u.T, self.y)
+        """``component_scores`` of ``y``, its projection on every component
+        (read-only)."""
+        scores = component_scores(self.factors, self.y)
         scores.setflags(write=False)
         return scores
 
@@ -147,6 +145,16 @@ def checked_factors(x: np.ndarray) -> SvdFactors:
     f = svd_thin(x)
     check_rank(f, np.s_[:])
     return f
+
+
+def component_scores(f: SvdFactors, y: np.ndarray) -> np.ndarray:
+    """``U^T y`` for one response (shape (n,)) or a stack of them (shape (..., n)).
+
+    ``Dataset.scores`` and each block of ``run_simulation`` take their
+    scores from here, so a simulated replicate's fit has the bits of the
+    fit of a Dataset holding its response.
+    """
+    return np.matvec(f.u.T, y)
 
 
 def component_fit(

@@ -42,9 +42,10 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
+from .diagnostics import plugin_bias
 from .errors import ValidationError
 from .linalg import gram_pseudo_inverse
-from .model import checked_factors, component_fit, design_shape
+from .model import checked_factors, component_fit, component_scores, design_shape
 
 # Replicate r is row r % STREAM_BLOCK of stream block r // STREAM_BLOCK.
 STREAM_BLOCK = 64
@@ -244,7 +245,7 @@ def run_simulation(cfg: SimulationConfig) -> SimulationResult:
         y *= sd  # in place: the bits of mu + sd * y, without its two temporaries
         y += mu
         block = np.s_[start : start + len(y)]
-        beta, draws[0, block] = component_fit(f, y, np.matvec(f.u.T, y), np.s_[:d])
+        beta, draws[0, block] = component_fit(f, y, component_scores(f, y), np.s_[:d])
         draws[1:, block] = beta.T
     mean = np.mean(draws, axis=1)
     cov = np.cov(draws, ddof=1)
@@ -270,8 +271,7 @@ def run_simulation(cfg: SimulationConfig) -> SimulationResult:
         predicted_mean_beta_d=beta_d_true,
         predicted_cov=gram_pseudo_inverse(f, np.s_[:d]) * cfg.sigma2_true,
         predicted_bias_nd_dof=omitted_quad / (n - d),
-        predicted_bias_np_dof=((n - p) / (n - d) - 1.0) * cfg.sigma2_true
-        + omitted_quad / (n - d),
+        predicted_bias_np_dof=plugin_bias(n, p, d, cfg.sigma2_true, omitted_quad),
         predicted_rss_nd_dof=cfg.sigma2_true * (n - d) + omitted_quad,
         predicted_rss_np_dof=cfg.sigma2_true * (n - p) + omitted_quad,
         mcse_sigma2_d=float(mcse[0]) / (n - d),

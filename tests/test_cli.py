@@ -42,7 +42,13 @@ from pcreg.cli import (
     standardize,
     _lines,
 )
-from pcreg.diagnostics import covariance_agreement, pcr_covariance, variance_recomposition_check
+from pcreg.diagnostics import (
+    build_report,
+    covariance_agreement,
+    identity_residuals,
+    pcr_covariance,
+    variance_recomposition_check,
+)
 from pcreg.errors import DataFormatError, DegreesOfFreedomError, PcregError, ValidationError
 from pcreg.model import Dataset, fit_ols, fit_pcr
 from pcreg.montecarlo import MAX_REPLICATES, run_simulation, theory_comparison
@@ -521,6 +527,28 @@ class TestComparePayload:
         assert payload["residuals"]["covariance_agreement"] == covariance_agreement(covs)
         assert payload["residuals"]["variance_recomposition"] == variance_recomposition_check(
             ols, pcr, covs)
+
+    @pytest.mark.parametrize("mode", ["none", "center", "zscore"])
+    def test_printed_residuals_are_identity_residuals(self, mode):
+        # compare prints the library's residuals as they are: the CLI
+        # computes none of them.
+        data, _ = standardize(load_csv(fixture_path(), "cost"), mode)
+        ols = fit_ols(data)
+        for d in range(1, data.p + 1):
+            code, out, err = run_main(["compare", "--input", str(fixture_path()), "--response",
+                                       "cost", "--standardize", mode, "--format", "json",
+                                       "--d", str(d)])
+            assert (code, err) == (EXIT_OK, ""), d
+            pcr = fit_pcr(data, d)
+            want = identity_residuals(data, ols, pcr, build_report(data.factors, ols, pcr))
+            printed = json.loads(out)["residuals"]
+            assert {k: repr(v) for k, v in printed.items()} == {
+                k: repr(v) for k, v in want.items()}, d
+
+    def test_cli_imports_no_identity_check(self):
+        for name in ("beta_additivity_check", "recover_ols_sigma2", "sigma2_d_three_forms",
+                     "covariance_agreement", "variance_recomposition_check"):
+            assert not hasattr(cli, name), name
 
 
 class TestSymmetricCovariances:

@@ -18,6 +18,7 @@ from pcreg.diagnostics import (
     build_report,
     covariance_agreement,
     pcr_covariance,
+    plugin_bias,
     variance_recomposition_check,
 )
 from pcreg.linalg import svd_thin
@@ -130,6 +131,18 @@ class TestBiasReport:
         plugin = build_report(f, ols, pcr).bias_sigma2_plugin
         target = pcr.sigma2_d - ols.sigma2
         assert abs(plugin - target) <= 1e-10 * (1 + abs(target))
+
+
+class TestPluginBias:
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), d=st.integers(1, 5))
+    def test_is_the_report_bias_bit_for_bit(self, seed, d):
+        _, f, ols, pcr = random_fits(seed, 40, 5, d=d)
+        gram = (f.v * f.sigma**2) @ f.v.T
+        delta = ols.beta - pcr.beta_d
+        quad = float(delta @ gram @ delta)
+        want = build_report(f, ols, pcr).bias_sigma2_plugin
+        assert repr(plugin_bias(f.n, f.p, d, ols.sigma2, quad)) == repr(want)
 
 
 class TestBuildReport:

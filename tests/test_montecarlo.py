@@ -10,9 +10,10 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
+from pcreg.diagnostics import plugin_bias
 from pcreg.errors import ValidationError
 from pcreg.linalg import svd_thin
-from pcreg.model import Dataset, fit_pcr
+from pcreg.model import Dataset, checked_factors, fit_pcr
 from pcreg import montecarlo
 from pcreg.montecarlo import (
     COVARIANCE_MIN_REPLICATES,
@@ -246,6 +247,16 @@ class TestRunSimulation:
         res = run_simulation(config(x=x, beta_true=beta, d=3, replicates=400, seed=21))
         assert abs(res.mean_sigma2_d - 1.0) <= 4.0 * res.mcse_sigma2_d
         assert res.predicted_rss_nd_dof == res.predicted_rss_np_dof  # n-d == n-p at d=p
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 4])
+    def test_np_dof_bias_is_the_plugin_bias_at_the_truth(self, d):
+        x = design(8, 50, 4)
+        beta = np.array([1.0, -2.0, 0.5, 3.0])
+        cfg = config(x=x, beta_true=beta, d=d, sigma2_true=0.7, replicates=100)
+        f = checked_factors(x)
+        quad = float(np.sum((f.sigma[d:] * (f.v[:, d:].T @ beta)) ** 2))
+        want = plugin_bias(cfg.n, cfg.p, d, cfg.sigma2_true, quad)
+        assert repr(run_simulation(cfg).predicted_bias_np_dof) == repr(want)
 
     def test_empirical_cov_symmetric_psd(self):
         res = run_simulation(config(replicates=150))

@@ -12,9 +12,11 @@ temporary directory, the mutant is applied to the copy, and the tier-1
 tests run there with ``-x``.  One line per mutant is printed, ``killed``
 with the first failing test or ``survived``, and the exit status is 0
 only if every mutant is killed (1 otherwise, 2 when an old text does not
-occur exactly once).  The whole list takes a few minutes, so it is not
-part of the tier-1 tests; ``tests/test_mutants.py`` only checks that
-every old text still occurs exactly once.
+occur exactly once).  A SIGTERM or SIGINT kills the running tests, removes
+the copy and exits with 128 plus the signal number.  The whole list takes
+a few minutes, so it is not part of the tier-1 tests;
+``tests/test_mutants.py`` checks that every old text still occurs exactly
+once, and how a run reports a failure and ends on a signal.
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ from __future__ import annotations
 import os
 import re
 import shutil
+import signal
 import subprocess
 import sys
 import tempfile
@@ -60,6 +63,11 @@ MUTANTS = (
     Mutant("src/pcreg/diagnostics.py", "exceeds_ols_k=se_k > se_ols,",
            "exceeds_ols_k=se_k >= se_ols,",
            "an omitted-space standard error equal to OLS's is flagged"),
+    Mutant("src/pcreg/diagnostics.py", "abs(recovered - ols.sigma2)",
+           "abs(recovered - pcr.sigma2_d)",
+           "the sigma2 recovery residual compares with the PCR variance, not the OLS one"),
+    Mutant("src/pcreg/diagnostics.py", "((n - p) / (n - d) - 1.0)", "((n - d) / (n - d) - 1.0)",
+           "the plug-in bias books n - d for the error term's dof, not n - p"),
     Mutant("src/pcreg/cli.py", "if len(message) > 160:", "if len(message) > 1600:",
            "a usage error up to 1,600 characters is echoed whole"),
     Mutant("src/pcreg/cli.py", "_numeric_table(text, reader.line_num, len(header))",
@@ -83,7 +91,9 @@ MUTANTS = (
 TIER1 = ("-m", "pytest", "-q", "-x", "--continue-on-collection-errors")
 IGNORED = shutil.ignore_patterns(".git", "__pycache__", ".hypothesis", ".pytest_cache",
                                  ".perfbench_work")
-FIRST_FAILURE = re.compile(r"^(?:FAILED|ERROR) (\S+)", re.MULTILINE)
+# A node id may hold spaces (a parametrized id); pytest ends it with " - "
+# and the message, or with the end of the line.
+FIRST_FAILURE = re.compile(r"^(?:FAILED|ERROR) (.+?)(?: - |$)", re.MULTILINE)
 
 
 def anchor_problems(root: Path) -> list[str]:
@@ -114,7 +124,15 @@ def run_mutant(root: Path, m: Mutant) -> tuple[bool, str]:
     return True, failure.group(1) if failure else (lines[-1] if lines else "")
 
 
+def _stop(signum, frame) -> None:
+    """End the run by an exception, so that ``subprocess.run`` kills the
+    tier-1 child and ``TemporaryDirectory`` removes the copy on the way out."""
+    raise SystemExit(128 + signum)
+
+
 def main(argv: list[str]) -> int:
+    for signum in (signal.SIGTERM, signal.SIGINT):
+        signal.signal(signum, _stop)
     root = Path(argv[1]) if len(argv) > 1 else Path(__file__).resolve().parents[1]
     problems = anchor_problems(root)
     if problems:
